@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+# Payoff ties within this margin are ties; protects weak maxima from roundoff.
 PAYOFF_TIE_TOL = 1e-9
 
 

@@ -1,12 +1,18 @@
 """Smeared expected payoffs over trembled strategies.
 
 The deterministic path integrates each side's tremble into an averaged
-one-qubit channel tensor M[a,c,i,k] = E[U[a,i] * conj(U[c,k])] on a periodic
-trapezoidal grid (spectrally accurate on the torus), then contracts the two
-channels with the shared state and the payoff operators.  This turns the
-O(N^(2d)) double integral into two O(N^d) passes without changing the result;
-``smeared_payoff_direct`` keeps the plain double summation as a reference, and
-``smeared_payoff_mc`` provides an independent Monte Carlo cross-check.
+one-qubit channel tensor M[a,c,i,k] = E[U[a,i] * conj(U[c,k])] with the
+periodic trapezoidal rule, then contracts the two channels with the shared
+state and the payoff operators.  Each gate entry is a product of one factor
+per torus coordinate and the tremble is a product of von Mises factors, so M
+is the entrywise product of one 2x2x2x2 moment tensor per active axis: a side
+costs O(d*N) for N nodes per axis instead of O(N^d) on the full mesh, with the
+same nodes and weights.  The rule is spectrally accurate along theta and at
+the C, D and Q centres; off those axes the fixed alpha/beta window [0, 2*pi)
+cuts the 4*pi-periodic gate at a seam and converges only at first order.
+``smeared_payoff_direct`` keeps the plain double summation over the node mesh
+as a reference, and ``smeared_payoff_mc`` provides an independent Monte Carlo
+cross-check.
 """
 
 from __future__ import annotations
@@ -16,9 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import TrembleSpec, sample_torus_angles, torus_density_angles
+from .distributions import TrembleSpec, sample_torus_angles, torus_density_angles, vm_density
 from .games import GameSpec
 from .quantum import TWO_PI, StrategyParams, initial_state, payoff_operators, su2, su2_angles
+
+
+# Largest quadrature grid accepted per torus axis; larger requests are refused
+# before anything is allocated.
+MAX_NODES_PER_AXIS = 2**20
 
 
 class GridResolutionError(RuntimeError):
@@ -35,6 +46,9 @@ class QuadratureGrid:
     def __post_init__(self):
         if self.nodes_per_dim < 8:
             raise ValueError("need at least 8 nodes per dimension")
+        if self.nodes_per_dim > MAX_NODES_PER_AXIS:
+            raise ValueError(f"{self.nodes_per_dim} quadrature nodes per dimension exceed "
+                             f"the limit of {MAX_NODES_PER_AXIS}")
         if self.dims not in (1, 2, 3):
             raise ValueError("dims must be 1, 2 or 3")
 
@@ -144,7 +158,10 @@ def _resolve_grid(spec: TrembleSpec, grid) -> QuadratureGrid:
 
 
 def tremble_nodes(spec: TrembleSpec, grid=None) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes (n, 3 angles) and weights (n,) for a tremble."""
+    """Quadrature nodes (n, 3 angles) and weights (n,) of a tremble's full N^d mesh.
+
+    Only the reference ``smeared_payoff_direct`` sums over this mesh.
+    """
     grid = _resolve_grid(spec, grid)
     angles = grid.node_angles()
     dens = torus_density_angles(angles[:, : spec.dims], spec)
@@ -155,17 +172,39 @@ def side_tensor(dist: StrategyDistribution, grid=None) -> np.ndarray:
     """Averaged one-qubit channel tensor M[a,c,i,k] = E[U[a,i] conj(U[c,k])].
 
     The expectation is over the side's strategy distribution; a pure side
-    gives the rank-1 tensor of its gate.  All smeared payoffs are bilinear in
-    these tensors, which is what makes the factorized evaluation exact.
+    gives the rank-1 tensor of its gate, a trembled side the entrywise product
+    of its per-axis moments, and a mixture the weighted sum of its components.
+    All smeared payoffs are bilinear in these tensors, which is what makes the
+    factorized evaluation exact.
     """
     if dist.kind == "pure":
         gate = su2(dist.pure)
         return np.einsum("ai,ck->acik", gate, gate.conj())
     if dist.kind == "trembled":
-        angles, weights = tremble_nodes(dist.tremble, grid)
-        gates = su2_angles(angles[:, 0], angles[:, 1], angles[:, 2])
-        return np.einsum("n,nai,nck->acik", weights, gates, gates.conj())
+        spec = dist.tremble
+        grid = _resolve_grid(spec, grid)
+        tensor = np.ones((2, 2, 2, 2), dtype=complex)
+        for axis, (nodes, center) in enumerate(zip(grid.axes(), spec.center.active)):
+            weights = vm_density(nodes, center, spec.kappa) * grid.spacing
+            factor = _axis_factor(axis, nodes)
+            tensor *= np.einsum("n,nai,nck->acik", weights, factor, factor.conj())
+        return tensor
     return sum(w * side_tensor(comp, grid) for w, comp in dist.mixture)
+
+
+def _axis_factor(axis: int, x: np.ndarray) -> np.ndarray:
+    """Factors F[n,a,i] of one torus axis; the gate is their entrywise product.
+
+    theta gives [[cos, sin], [-sin, cos]](x/2), alpha [[e^(ix/2), 1], [1, e^(-ix/2)]]
+    and beta [[1, e^(ix/2)], [e^(-ix/2), 1]], matching ``su2_angles``.
+    """
+    if axis == 0:
+        c, s = np.cos(x / 2.0), np.sin(x / 2.0)
+        rows = [[c, s], [-s, c]]
+    else:
+        e, one = np.exp(0.5j * x), np.ones_like(x)
+        rows = [[e, one], [one, e.conj()]] if axis == 1 else [[one, e], [e.conj(), one]]
+    return np.moveaxis(np.array(rows, dtype=complex), -1, 0)
 
 
 def _rho4() -> np.ndarray:
@@ -183,21 +222,19 @@ def smeared_payoff(game: GameSpec, dist_a: StrategyDistribution, dist_b: Strateg
 
     Pure sides collapse to point evaluation; trembled sides are integrated on
     a periodic trapezoidal grid (``grid``: node count, QuadratureGrid, or None
-    for a concentration-aware default).  With ``self_check`` the result is
-    recomputed at doubled resolution and a GridResolutionError is raised when
-    the two disagree by more than 1e-6.
+    for a concentration-aware default); a mixture side is mixed linearly in
+    its channel tensor.  With ``self_check`` the result is recomputed with
+    every trembled side or component at doubled resolution and a
+    GridResolutionError is raised when the two disagree by more than 1e-6.
     """
-    if dist_a.kind == "mixture" or dist_b.kind == "mixture":
-        return discrete_mixture_payoff(game, dist_a, dist_b, grid)
     op_a, op_b = payoff_operators(game)
     m_a = side_tensor(dist_a, grid)
     m_b = side_tensor(dist_b, grid)
     pay = (_contract_both(op_a.reshape(2, 2, 2, 2), m_a, m_b),
            _contract_both(op_b.reshape(2, 2, 2, 2), m_a, m_b))
     if self_check:
-        fine = (_double_grid(dist_a, grid), _double_grid(dist_b, grid))
-        m_a2 = side_tensor(dist_a, fine[0])
-        m_b2 = side_tensor(dist_b, fine[1])
+        m_a2 = _doubled_side_tensor(dist_a, grid)
+        m_b2 = _doubled_side_tensor(dist_b, grid)
         pay2 = (_contract_both(op_a.reshape(2, 2, 2, 2), m_a2, m_b2),
                 _contract_both(op_b.reshape(2, 2, 2, 2), m_a2, m_b2))
         drift = max(abs(pay[0] - pay2[0]), abs(pay[1] - pay2[1]))
@@ -208,10 +245,13 @@ def smeared_payoff(game: GameSpec, dist_a: StrategyDistribution, dist_b: Strateg
     return pay
 
 
-def _double_grid(dist: StrategyDistribution, grid):
-    if dist.kind != "trembled":
-        return grid
-    return _resolve_grid(dist.tremble, grid).doubled()
+def _doubled_side_tensor(dist: StrategyDistribution, grid) -> np.ndarray:
+    """``side_tensor`` with every trembled component on twice its resolved grid."""
+    if dist.kind == "trembled":
+        return side_tensor(dist, _resolve_grid(dist.tremble, grid).doubled())
+    if dist.kind == "mixture":
+        return sum(w * _doubled_side_tensor(comp, grid) for w, comp in dist.mixture)
+    return side_tensor(dist, grid)
 
 
 def payoff_kernels(game: GameSpec, varying: str, opponent: StrategyDistribution,
@@ -281,9 +321,9 @@ def discrete_mixture_payoff(game: GameSpec, mix_a: StrategyDistribution,
                             mix_b: StrategyDistribution, grid=None) -> tuple[float, float]:
     """Weighted payoff over all component pairs of two discrete mixtures.
 
-    Non-mixture arguments are treated as one-component mixtures, so this is
-    linear in each side's weight vector and agrees with ``smeared_payoff`` on
-    single components.
+    Non-mixture arguments are treated as one-component mixtures.  This is the
+    pairwise reference for ``smeared_payoff``, which mixes each side linearly
+    in its channel tensor instead of looping over component pairs.
     """
     comps_a = mix_a.mixture if mix_a.kind == "mixture" else ((1.0, mix_a),)
     comps_b = mix_b.mixture if mix_b.kind == "mixture" else ((1.0, mix_b),)

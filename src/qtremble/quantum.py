@@ -33,9 +33,9 @@ class StrategyParams:
     """Point (theta, alpha, beta) on the strategy torus.
 
     ``dims`` counts the active parameters: 1 keeps only theta, 2 adds alpha,
-    3 all three.  Inactive angles must be zero.  Angles are canonicalized on
-    construction: theta into [-pi, pi] (both endpoints representable), alpha
-    and beta into [0, 2*pi).
+    3 all three.  Angles must be finite and inactive angles zero.  Angles are
+    canonicalized on construction: theta into [-pi, pi] (both endpoints
+    representable), alpha and beta into [0, 2*pi).
     """
 
     theta: float
@@ -46,6 +46,9 @@ class StrategyParams:
     def __post_init__(self):
         if self.dims not in (1, 2, 3):
             raise ValueError(f"dims must be 1, 2 or 3, got {self.dims!r}")
+        if not all(math.isfinite(float(x)) for x in (self.theta, self.alpha, self.beta)):
+            raise ValueError(
+                f"angles must be finite, got ({self.theta!r}, {self.alpha!r}, {self.beta!r})")
         theta = math.remainder(float(self.theta), TWO_PI)
         alpha = _wrap_positive(float(self.alpha))
         beta = _wrap_positive(float(self.beta))

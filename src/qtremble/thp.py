@@ -16,14 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import TrembleSpec
-from .games import GameSpec, classical_payoff
+from .games import PAYOFF_TIE_TOL, GameSpec, classical_payoff
 from .integration import StrategyDistribution, kernel_payoff, payoff_kernels
 from .quantum import StrategyParams, gate_distance, gate_distances, su2, su2_angles
 
 # Argmax within this gate distance of the equilibrium counts as "did not move".
 ANGLE_TOL = 0.05
-# Payoff ties within this margin are ties; protects weak maxima from roundoff.
-PAYOFF_TIE_TOL = 1e-9
 # Runner-up search ignores strategies within this gate distance of the peak,
 # so a smooth maximum is not its own runner-up.
 EXCLUSION_RADIUS = 0.5

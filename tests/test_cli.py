@@ -196,6 +196,28 @@ class TestErrorHandling:
                       "--kappa", "1", "--out", str(tmp_path / "x.csv"))
         assert rc == 2
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_profile_angle(self, tmp_path, capsys, angle):
+        out = tmp_path / "x.csv"
+        rc = run_main("thp", "--game", "SH", f"--profile={angle},0,0:C",
+                      "--kappa", "1", "--out", str(out))
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_quad_nodes(self, tmp_path, capsys):
+        rc = run_main("thp", "--game", "SH", "--profile", "C:C", "--kappa", "1",
+                      "--quad-nodes", str(2**40), "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        assert "quadrature nodes" in capsys.readouterr().err
+
+    def test_oversized_default_grid(self, tmp_path, capsys):
+        # default_grid would need about 2.4e7 nodes per axis at this kappa.
+        rc = run_main("thp", "--game", "SH", "--profile", "C:C", "--kappa", "1e13",
+                      "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        assert "quadrature nodes" in capsys.readouterr().err
+
     def test_bad_mixture_weights(self, tmp_path):
         rc = run_main("surface", "--game", "EG", "--vary", "B", "--dims", "1",
                       "--opponent", "mix:C=0.7,D=0.7", "--out", str(tmp_path / "x.csv"))

@@ -1,14 +1,18 @@
 """Quadrature vs Monte Carlo vs direct summation for smeared payoffs."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtremble import (
     GridResolutionError,
     QuadratureGrid,
     StrategyDistribution,
+    StrategyParams,
     TrembleSpec,
     bessel_i,
     builtin_game,
@@ -20,7 +24,10 @@ from qtremble import (
     smeared_payoff_mc,
     strategy,
     su2,
+    su2_angles,
 )
+from qtremble.distributions import bessel_i_scaled
+from qtremble.integration import MAX_NODES_PER_AXIS, side_tensor, tremble_nodes
 
 PD = builtin_game("PD")
 EG = builtin_game("EG")
@@ -61,6 +68,58 @@ class TestQuadratureGrid:
         assert default_grid(2, 0.0).nodes_per_dim == 64
         assert default_grid(3, 0.0).nodes_per_dim == 48
         assert default_grid(2, 200.0).nodes_per_dim >= 104
+
+    def test_node_cap(self):
+        assert QuadratureGrid(MAX_NODES_PER_AXIS, 3).nodes_per_dim == MAX_NODES_PER_AXIS
+        with pytest.raises(ValueError, match="exceed"):
+            QuadratureGrid(MAX_NODES_PER_AXIS + 1, 1)
+        with pytest.raises(ValueError, match="exceed"):
+            default_grid(2, 1e13)
+
+
+def mesh_side_tensor(spec, grid):
+    """Channel tensor summed over the full N^d node mesh, gate by gate.
+
+    Each entry is an ``np.sum`` (pairwise summation): a plain einsum loop over
+    a 96^3 mesh accumulates about 1e-12 of roundoff on its own.
+    """
+    angles, weights = tremble_nodes(spec, grid)
+    gates = su2_angles(angles[:, 0], angles[:, 1], angles[:, 2])
+    weighted = weights[:, None, None] * gates
+    out = np.empty((2, 2, 2, 2), dtype=complex)
+    for a, c, i, k in np.ndindex(out.shape):
+        out[a, c, i, k] = np.sum(weighted[:, a, i] * gates[:, c, k].conj())
+    return out
+
+
+class TestSeparableChannel:
+    @given(
+        dims=st.integers(1, 3),
+        center=st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10)),
+        kappa=st.floats(0.0, 300.0),
+        nodes=st.integers(8, 96),
+    )
+    @example(dims=3, center=(0.0, math.pi, 0.0), kappa=300.0, nodes=8)
+    @example(dims=3, center=(math.pi, 0.0, 0.0), kappa=0.0, nodes=96)
+    @example(dims=1, center=(0.0, 0.0, 0.0), kappa=5.0, nodes=64)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_mesh_reference(self, dims, center, kappa, nodes):
+        angles = [c if axis < dims else 0.0 for axis, c in enumerate(center)]
+        spec = TrembleSpec(StrategyParams(*angles, dims), kappa)
+        grid = QuadratureGrid(nodes, dims)
+        got = side_tensor(StrategyDistribution.from_tremble(spec), grid)
+        assert np.abs(got - mesh_side_tensor(spec, grid)).max() <= 1e-12
+
+    def test_sharp_three_dim_tremble_needs_no_mesh(self):
+        # default_grid puts 2368 nodes on each axis here: a 1.3e10-node mesh.
+        kappa = 1e5
+        start = time.perf_counter()
+        tensor = side_tensor(trembled("C", kappa, dims=3))
+        elapsed = time.perf_counter() - start
+        # E[cos^2(theta/2)] = (1 + I1/I0)/2; the Bessel backend is good to 1e-10.
+        r = bessel_i_scaled(1, kappa) / bessel_i_scaled(0, kappa)
+        assert tensor[0, 0, 0, 0].real == pytest.approx((1 + r) / 2, abs=1e-10)
+        assert elapsed < 0.5
 
 
 class TestStrategyDistribution:
@@ -231,6 +290,31 @@ class TestDiscreteMixture:
         direct = payoff(blend)
         interpolated = lam * payoff(w1) + (1 - lam) * payoff(w2)
         assert np.abs(direct - interpolated).max() <= 1e-10
+
+    def test_trembled_components_mix_linearly(self):
+        center = StrategyParams(0.7, 0.3, 0.0, 2)
+        mix = StrategyDistribution.from_mixture([
+            (0.5, StrategyDistribution.from_tremble(TrembleSpec(center, 1.0))),
+            (0.5, StrategyDistribution.from_pure(center)),
+        ])
+        opp = trembled("D", 2.0)
+        assert smeared_payoff(SH, mix, opp) == pytest.approx(
+            discrete_mixture_payoff(SH, mix, opp), abs=1e-12
+        )
+
+    def test_self_check_covers_mixture_components(self):
+        center = StrategyParams(0.7, 0.3, 0.0, 2)
+        shaky = StrategyDistribution.from_tremble(TrembleSpec(center, 1.0))
+        mix = StrategyDistribution.from_mixture(
+            [(0.5, shaky), (0.5, StrategyDistribution.from_pure(center))]
+        )
+        opp = StrategyDistribution.from_pure(StrategyParams(0.4, 1.0, 0.0, 2))
+        with pytest.raises(GridResolutionError):
+            smeared_payoff(SH, shaky, opp, grid=8, self_check=True)
+        with pytest.raises(GridResolutionError):
+            smeared_payoff(SH, mix, opp, grid=8, self_check=True)
+        with pytest.raises(GridResolutionError):
+            smeared_payoff(SH, opp, mix, grid=8, self_check=True)
 
     def test_smeared_payoff_delegates_mixtures(self):
         mix = StrategyDistribution.from_mixture([(0.5, pure("C")), (0.5, pure("D"))])

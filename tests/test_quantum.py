@@ -79,6 +79,14 @@ class TestStrategyParams:
         with pytest.raises(ValueError):
             StrategyParams(0.0, dims=4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_angles_rejected(self, bad, axis):
+        angles = [0.0, 0.0, 0.0]
+        angles[axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            StrategyParams(*angles)
+
     @given(
         st.floats(-50, 50),
         st.floats(-50, 50),
