@@ -9,6 +9,9 @@ import numpy as np
 
 # Payoff ties within this margin are ties; protects weak maxima from roundoff.
 PAYOFF_TIE_TOL = 1e-9
+# Largest strategy mesh (plot or best-response search), counted over all axes;
+# larger requests are refused before anything is allocated.
+MAX_MESH_NODES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +136,8 @@ def surface_axes(dims: int, nodes: int) -> list[tuple[str, np.ndarray]]:
         raise ValueError("dims must be 1, 2 or 3")
     if nodes < 2:
         raise ValueError("need at least 2 nodes per axis")
+    if nodes**dims > MAX_MESH_NODES:
+        raise ValueError(f"{nodes}^{dims} plot nodes exceed the limit of {MAX_MESH_NODES}")
     spans = [(-math.pi, math.pi), (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)]
     return [
         (_AXIS_NAMES[k], np.linspace(spans[k][0], spans[k][1], nodes))

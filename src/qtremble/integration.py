@@ -27,6 +27,8 @@ from .games import GameSpec
 from .quantum import TWO_PI, StrategyParams, initial_state, payoff_operators, su2, su2_angles
 
 
+# Fewest nodes per torus axis accepted by the quadrature and the best-response search.
+MIN_NODES_PER_AXIS = 8
 # Largest quadrature grid accepted per torus axis; larger requests are refused
 # before anything is allocated.
 MAX_NODES_PER_AXIS = 2**20
@@ -44,8 +46,8 @@ class QuadratureGrid:
     dims: int
 
     def __post_init__(self):
-        if self.nodes_per_dim < 8:
-            raise ValueError("need at least 8 nodes per dimension")
+        if self.nodes_per_dim < MIN_NODES_PER_AXIS:
+            raise ValueError(f"need at least {MIN_NODES_PER_AXIS} nodes per dimension")
         if self.nodes_per_dim > MAX_NODES_PER_AXIS:
             raise ValueError(f"{self.nodes_per_dim} quadrature nodes per dimension exceed "
                              f"the limit of {MAX_NODES_PER_AXIS}")

@@ -1,10 +1,20 @@
 """Trembling-hand robustness of equilibria under von Mises strategy trembles.
 
 An equilibrium strategy "holds" against a trembled opponent when it is still a
-best response: either the best-response search lands back on it (within a gate
-distance of 0.05), or no strategy away from it pays strictly more (ties count,
-so weak equilibria survive).  Scanning the concentration parameter and
-bisecting the verdict locates robustness thresholds.
+best response: either the refined best-response argmax lands back on it
+(within a gate distance of ``ANGLE_TOL`` = 0.05), or nothing away from it pays
+strictly more (ties count, so weak equilibria survive).  "Away" means the
+search-grid nodes beyond gate distance ``EXCLUSION_RADIUS`` = 0.5 from it, and
+the refined argmax when that lies beyond 0.5 as well.  Scanning the
+concentration parameter and bisecting the verdict locates robustness
+thresholds.
+
+The best-response search scores each gate through its unit quaternion: with
+U = q0*I + q1*iZ + q2*iY + q3*iX, a payoff kernel K becomes the real symmetric
+form q^T Q q, so grid values, refinement steps and reference payoffs are a few
+float operations per gate.  Two SU(2) gates have the real overlap
+tr(V^dagger U) = 2 p.q, so their aligning phase is +-1 and gate distances come
+from quaternion differences as well.
 """
 
 from __future__ import annotations
@@ -16,9 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import TrembleSpec
-from .games import PAYOFF_TIE_TOL, GameSpec, classical_payoff
-from .integration import StrategyDistribution, kernel_payoff, payoff_kernels
-from .quantum import StrategyParams, gate_distance, gate_distances, su2, su2_angles
+from .games import MAX_MESH_NODES, PAYOFF_TIE_TOL, GameSpec, classical_payoff
+from .integration import MIN_NODES_PER_AXIS, StrategyDistribution, payoff_kernels
+from .quantum import StrategyParams
 
 # Argmax within this gate distance of the equilibrium counts as "did not move".
 ANGLE_TOL = 0.05
@@ -28,6 +38,14 @@ EXCLUSION_RADIUS = 0.5
 REFINE_MIN_STEP = 1e-4
 
 _DEFAULT_SEARCH_NODES = {1: 64, 2: 64, 3: 32}
+
+# Gates are U = q0*I + q1*iZ + q2*iY + q3*iX for the unit quaternion q.
+_QUATERNION_BASIS = np.array([
+    [[1, 0], [0, 1]],
+    [[1j, 0], [0, -1j]],
+    [[0, 1], [-1, 0]],
+    [[0, 1j], [1j, 0]],
+])
 
 
 class NoBracketError(ValueError):
@@ -63,21 +81,87 @@ class RobustnessVerdict:
     margin: float
 
 
-def _search_axes(dims: int, nodes: int) -> list[np.ndarray]:
+def _quaternion(params: StrategyParams) -> tuple[float, float, float, float]:
+    """Unit quaternion of ``su2(params)``."""
+    c, s = math.cos(params.theta / 2.0), math.sin(params.theta / 2.0)
+    half_a, half_b = params.alpha / 2.0, params.beta / 2.0
+    return (math.cos(half_a) * c, math.sin(half_a) * c,
+            math.cos(half_b) * s, math.sin(half_b) * s)
+
+
+def _quaternions(angles: np.ndarray) -> np.ndarray:
+    """Unit quaternions (4, n) of the gates of (n, 3) angle rows, as ``_quaternion``."""
+    c, s = np.cos(angles[:, 0] / 2.0), np.sin(angles[:, 0] / 2.0)
+    half_a, half_b = angles[:, 1] / 2.0, angles[:, 2] / 2.0
+    return np.array([np.cos(half_a) * c, np.sin(half_a) * c,
+                     np.cos(half_b) * s, np.sin(half_b) * s])
+
+
+def _form(kernel: np.ndarray) -> np.ndarray:
+    """Real symmetric Q with ``kernel_payoff(kernel, U) == q^T Q q`` for U's quaternion q."""
+    raw = np.einsum("acik,mai,nck->mn", kernel, _QUATERNION_BASIS,
+                    _QUATERNION_BASIS.conj()).real
+    return 0.5 * (raw + raw.T)
+
+
+def _form_value(form: np.ndarray, q):
+    """q^T Q q for one quaternion or a (4, n) stack, in the same operation order for both."""
+    return sum(qm * (row[0] * q[0] + row[1] * q[1] + row[2] * q[2] + row[3] * q[3])
+               for qm, row in zip(q, form.tolist()))
+
+
+def _distances(quats, p) -> np.ndarray:
+    """``quantum.gate_distances`` of the gates of ``quats`` (4, ...) to the gate of ``p``.
+
+    The aligning phase is sign(p.q), or 1 when |2 p.q| <= 1e-12; the entries
+    of U - phase*V then have moduli |(d0, d1)| and |(d2, d3)|.
+    """
+    p = np.asarray(p)
+    dot = p @ quats
+    phase = np.where(np.abs(2.0 * dot) > 1e-12, np.sign(dot), 1.0)
+    d = quats - np.multiply.outer(p, phase)
+    return np.maximum(np.hypot(d[0], d[1]), np.hypot(d[2], d[3]))
+
+
+@dataclass(frozen=True)
+class _SearchGrid:
+    """Lexicographic search nodes of a responder's torus and their quaternions."""
+
+    dims: int
+    step: float
+    angles: np.ndarray  # (n, 3) node angles, inactive angles zero
+    quats: np.ndarray  # (4, n)
+
+    def outside(self, q: tuple[float, ...]) -> np.ndarray:
+        """Mask of the nodes beyond ``EXCLUSION_RADIUS`` in gate distance from ``q``."""
+        return _distances(self.quats, q) > EXCLUSION_RADIUS
+
+
+def _search_grid(dims: int, grid_nodes: int | None) -> _SearchGrid:
+    if dims not in (1, 2, 3):
+        raise ValueError("dims must be 1, 2 or 3")
+    nodes = _DEFAULT_SEARCH_NODES[dims] if grid_nodes is None else grid_nodes
+    if nodes < MIN_NODES_PER_AXIS:
+        raise ValueError(f"need at least {MIN_NODES_PER_AXIS} search nodes per axis, "
+                         f"got {nodes}")
+    if nodes**dims > MAX_MESH_NODES:
+        raise ValueError(f"{nodes}^{dims} search nodes exceed the limit of {MAX_MESH_NODES}")
     step = 2.0 * math.pi / nodes
     grid = step * np.arange(nodes)
-    return [(-math.pi + grid), grid, grid][:dims]
-
-
-def _search_nodes(dims: int, nodes: int) -> np.ndarray:
-    mesh = np.meshgrid(*_search_axes(dims, nodes), indexing="ij")
-    flat = np.zeros((mesh[0].size, 3))
+    mesh = np.meshgrid(*[(-math.pi + grid), grid, grid][:dims], indexing="ij")
+    angles = np.zeros((mesh[0].size, 3))
     for axis, m in enumerate(mesh):
-        flat[:, axis] = m.reshape(-1)
-    return flat
+        angles[:, axis] = m.reshape(-1)
+    return _SearchGrid(dims, step, angles, _quaternions(angles))
 
 
-def _refine(kernel: np.ndarray, start: StrategyParams, value: float, dims: int,
+def _response_form(game: GameSpec, responder: str, opponent: StrategyDistribution,
+                   quad_grid) -> np.ndarray:
+    kernels = payoff_kernels(game, responder, opponent, quad_grid)
+    return _form(kernels[0] if responder == "A" else kernels[1])
+
+
+def _refine(form: np.ndarray, start: StrategyParams, value: float, dims: int,
             step: float) -> tuple[StrategyParams, float]:
     """Greedy coordinate descent with a shrinking step until step < 1e-4 rad."""
     best, best_value = start, value
@@ -89,7 +173,7 @@ def _refine(kernel: np.ndarray, start: StrategyParams, value: float, dims: int,
                 angles = list(best.angles)
                 angles[axis] += delta
                 cand = StrategyParams(angles[0], angles[1], angles[2], dims)
-                v = float(kernel_payoff(kernel, su2(cand)))
+                v = _form_value(form, _quaternion(cand))
                 evals += 1
                 if v > best_value:
                     best, best_value = cand, v
@@ -99,52 +183,42 @@ def _refine(kernel: np.ndarray, start: StrategyParams, value: float, dims: int,
     return best, best_value
 
 
-@dataclass(frozen=True)
-class _ResponseAnalysis:
-    best: BestResponse
-    reference_payoff: float | None
-    distance: float | None
-    margin: float | None
-
-
-def _analyze_response(game: GameSpec, responder: str, opponent: StrategyDistribution,
-                      dims: int, grid_nodes: int | None, refine: bool,
-                      reference: StrategyParams | None,
-                      quad_grid=None) -> _ResponseAnalysis:
-    if dims not in (1, 2, 3):
-        raise ValueError("dims must be 1, 2 or 3")
-    nodes = grid_nodes or _DEFAULT_SEARCH_NODES[dims]
-    kernels = payoff_kernels(game, responder, opponent, quad_grid)
-    kernel = kernels[0] if responder == "A" else kernels[1]
-
-    angles = _search_nodes(dims, nodes)
-    gates = su2_angles(angles[:, 0], angles[:, 1], angles[:, 2])
-    values = kernel_payoff(kernel, gates)
-
+def _maximize(form: np.ndarray, grid: _SearchGrid,
+              refine: bool) -> tuple[StrategyParams, float, np.ndarray]:
+    """Best strategy, its value, and the values of all grid nodes."""
+    values = _form_value(form, grid.quats)
     top = int(np.argmax(values))  # first maximum = lowest lexicographic node
-    best = StrategyParams(angles[top, 0], angles[top, 1], angles[top, 2], dims)
+    best = StrategyParams(*grid.angles[top], grid.dims)
     best_value = float(values[top])
     if refine:
-        best, best_value = _refine(kernel, best, best_value, dims, 2.0 * math.pi / nodes)
-    best_gate = su2(best)
+        best, best_value = _refine(form, best, best_value, grid.dims, grid.step)
+    return best, best_value, values
 
-    away = gate_distances(gates, best_gate) > EXCLUSION_RADIUS
-    runner_up = float(values[away].max()) if away.any() else -math.inf
-    gap = best_value - runner_up if math.isfinite(runner_up) else math.inf
-    response = BestResponse(best, best_value, gap)
 
-    if reference is None:
-        return _ResponseAnalysis(response, None, None, None)
+def _runner_up_gap(grid: _SearchGrid, values: np.ndarray, best: StrategyParams,
+                   best_value: float) -> float:
+    away = grid.outside(_quaternion(best))
+    return best_value - float(values[away].max()) if away.any() else math.inf
 
-    ref_gate = su2(reference)
-    ref_payoff = float(kernel_payoff(kernel, ref_gate))
-    outside = gate_distances(gates, ref_gate) > EXCLUSION_RADIUS
+
+def _deviation(form: np.ndarray, values: np.ndarray, best: StrategyParams,
+               best_value: float, reference: tuple[float, ...],
+               outside: np.ndarray) -> tuple[float, float]:
+    """(distance, margin) of the reference quaternion against the best response.
+
+    ``outside`` masks the grid nodes beyond ``EXCLUSION_RADIUS`` of the reference.
+    """
+    distance = float(_distances(_quaternion(best), reference))
     alternative = float(values[outside].max()) if outside.any() else -math.inf
-    if gate_distance(best_gate, ref_gate) > EXCLUSION_RADIUS:
+    if distance > EXCLUSION_RADIUS:
         alternative = max(alternative, best_value)
+    ref_payoff = float(_form_value(form, reference))
     margin = ref_payoff - alternative if math.isfinite(alternative) else math.inf
-    distance = gate_distance(best_gate, ref_gate)
-    return _ResponseAnalysis(response, ref_payoff, distance, margin)
+    return distance, margin
+
+
+def _holds(distance: float, margin: float) -> bool:
+    return distance <= ANGLE_TOL or margin >= -PAYOFF_TIE_TOL
 
 
 def best_response(game: GameSpec, responder: str, opponent: StrategyDistribution,
@@ -155,8 +229,10 @@ def best_response(game: GameSpec, responder: str, opponent: StrategyDistribution
     Coarse lexicographic grid search (first maximum wins on exact ties)
     followed, when ``refine`` is set, by coordinate descent down to 1e-4 rad.
     """
-    return _analyze_response(game, responder, opponent, dims, grid_nodes, refine,
-                             None, quad_grid).best
+    grid = _search_grid(dims, grid_nodes)
+    form = _response_form(game, responder, opponent, quad_grid)
+    best, value, values = _maximize(form, grid, refine)
+    return BestResponse(best, value, _runner_up_gap(grid, values, best, value))
 
 
 def check_equilibrium(game: GameSpec, profile: tuple[StrategyParams, StrategyParams],
@@ -167,40 +243,54 @@ def check_equilibrium(game: GameSpec, profile: tuple[StrategyParams, StrategyPar
     opponent's pure strategy; "strict" needs a unique maximizer for both,
     "weak" allows payoff ties, anything else is "not-equilibrium".
     """
+    grid = _search_grid(dims, grid_nodes)
     params_a, params_b = profile
     strict = True
     for responder, own, other in (("A", params_a, params_b), ("B", params_b, params_a)):
-        own = own.with_dims(dims)
-        opponent = StrategyDistribution.from_pure(other)
-        result = _analyze_response(game, responder, opponent, dims, grid_nodes,
-                                   refine=True, reference=own)
-        holds = result.distance <= ANGLE_TOL or result.margin >= -PAYOFF_TIE_TOL
-        if not holds:
+        own_q = _quaternion(own.with_dims(dims))
+        form = _response_form(game, responder, StrategyDistribution.from_pure(other), None)
+        best, value, values = _maximize(form, grid, refine=True)
+        if not _holds(*_deviation(form, values, best, value, own_q, grid.outside(own_q))):
             return "not-equilibrium"
-        if result.best.runner_up_gap <= PAYOFF_TIE_TOL:
+        if _runner_up_gap(grid, values, best, value) <= PAYOFF_TIE_TOL:
             strict = False
     return "strict" if strict else "weak"
 
 
-def _verdict_at(game: GameSpec, profile: tuple[StrategyParams, StrategyParams],
-                tremble_dims: int, kappa: float, response_dims: int,
-                grid_nodes: int | None, quad_grid, both_sides: bool) -> RobustnessVerdict:
-    sides = [("B", 0, 1)] if not both_sides else [("B", 0, 1), ("A", 1, 0)]
-    holds = True
-    distance = 0.0
-    margin = math.inf
-    for responder, trembler_idx, responder_idx in sides:
-        center = profile[trembler_idx].with_dims(tremble_dims)
-        opponent = StrategyDistribution.from_tremble(TrembleSpec(center, kappa))
-        reference = profile[responder_idx].with_dims(response_dims)
-        result = _analyze_response(game, responder, opponent, response_dims,
-                                   grid_nodes, refine=True, reference=reference,
-                                   quad_grid=quad_grid)
-        side_holds = result.distance <= ANGLE_TOL or result.margin >= -PAYOFF_TIE_TOL
-        holds = holds and side_holds
-        distance = max(distance, result.distance)
-        margin = min(margin, result.margin)
-    return RobustnessVerdict(kappa=kappa, holds=holds, distance=distance, margin=margin)
+class _Verdicts:
+    """Verdicts of one profile across kappas.
+
+    The search nodes, their quaternions and each side's reference quaternion
+    and exclusion mask are built once and shared by every verdict.
+    """
+
+    def __init__(self, game: GameSpec, profile: tuple[StrategyParams, StrategyParams],
+                 tremble_dims: int, response_dims: int, grid_nodes: int | None,
+                 quad_grid, both_sides: bool):
+        self.game = game
+        self.quad_grid = quad_grid
+        self.grid = _search_grid(response_dims, grid_nodes)
+        self.sides = []
+        sides = [("B", 0, 1)] if not both_sides else [("B", 0, 1), ("A", 1, 0)]
+        for responder, trembler_idx, responder_idx in sides:
+            center = profile[trembler_idx].with_dims(tremble_dims)
+            reference = _quaternion(profile[responder_idx].with_dims(response_dims))
+            self.sides.append((responder, center, reference, self.grid.outside(reference)))
+
+    def at(self, kappa: float) -> RobustnessVerdict:
+        holds = True
+        distance = 0.0
+        margin = math.inf
+        for responder, center, reference, outside in self.sides:
+            opponent = StrategyDistribution.from_tremble(TrembleSpec(center, kappa))
+            form = _response_form(self.game, responder, opponent, self.quad_grid)
+            best, value, values = _maximize(form, self.grid, refine=True)
+            side_distance, side_margin = _deviation(form, values, best, value,
+                                                    reference, outside)
+            holds = holds and _holds(side_distance, side_margin)
+            distance = max(distance, side_distance)
+            margin = min(margin, side_margin)
+        return RobustnessVerdict(kappa=kappa, holds=holds, distance=distance, margin=margin)
 
 
 def thp_scan(game: GameSpec, profile: tuple[StrategyParams, StrategyParams],
@@ -218,11 +308,9 @@ def thp_scan(game: GameSpec, profile: tuple[StrategyParams, StrategyParams],
         raise ValueError("kappa values must be positive")
     if any(b <= a for a, b in zip(kappas, kappas[1:])):
         raise ValueError("kappa values must be strictly ascending")
-    return [
-        _verdict_at(game, profile, tremble_dims, kappa, response_dims,
-                    grid_nodes, quad_grid, both_sides)
-        for kappa in kappas
-    ]
+    verdicts = _Verdicts(game, profile, tremble_dims, response_dims, grid_nodes,
+                         quad_grid, both_sides)
+    return [verdicts.at(kappa) for kappa in kappas]
 
 
 @dataclass(frozen=True)
@@ -250,12 +338,13 @@ def threshold_search(game: GameSpec, profile: tuple[StrategyParams, StrategyPara
     """
     if not (0 < kappa_lo < kappa_hi):
         raise ValueError("need 0 < kappa_lo < kappa_hi")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    verdicts = _Verdicts(game, profile, tremble_dims, response_dims, grid_nodes,
+                         quad_grid, both_sides)
 
     def verdict(kappa: float) -> bool:
-        return _verdict_at(game, profile, tremble_dims, kappa, response_dims,
-                           grid_nodes, quad_grid, both_sides).holds
+        return verdicts.at(kappa).holds
 
     lo, hi = float(kappa_lo), float(kappa_hi)
     holds_lo, holds_hi = verdict(lo), verdict(hi)
@@ -263,7 +352,6 @@ def threshold_search(game: GameSpec, profile: tuple[StrategyParams, StrategyPara
         raise NoBracketError(
             f"verdict is {holds_lo} at both kappa={lo:g} and kappa={hi:g}; no threshold bracketed"
         )
-    first_lo, first_hi = lo, hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if verdict(mid) == holds_lo:

@@ -237,3 +237,39 @@ class TestSubprocessEntryPoint:
     def test_missing_subcommand_exits_2(self):
         proc = subprocess.run([sys.executable, "-m", "qtremble"], capture_output=True)
         assert proc.returncode == 2
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("nodes", ["0", "-3", "1", "7", "10000000"])
+    @pytest.mark.parametrize("command", [
+        ["thp", "--kappa", "1"],
+        ["threshold", "--lo", "1", "--hi", "5"],
+    ], ids=["thp", "threshold"])
+    def test_search_nodes_out_of_range(self, tmp_path, capsys, command, nodes):
+        out = tmp_path / "x.csv"
+        rc = run_main(*command, "--game", "SH", "--profile", "C:C",
+                      "--search-nodes", nodes, "--out", str(out))
+        assert rc == 2
+        assert "search nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_search_grid_is_accepted(self, tmp_path):
+        rc = run_main("thp", "--game", "SH", "--profile", "C:C", "--kappa", "5",
+                      "--search-nodes", "8", "--out", str(tmp_path / "x.csv"))
+        assert rc == 0
+
+    def test_oversized_surface_mesh(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run_main("surface", "--game", "PD", "--vary", "A", "--dims", "2",
+                      "--opponent", "pure:Q", "--nodes", "100000000", "--out", str(out))
+        assert rc == 2
+        assert "plot nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_tol(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run_main("threshold", "--game", "SH", "--profile", "C:C", "--lo", "1",
+                      "--hi", "5", "--tol", "nan", "--out", str(out))
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
+        assert not out.exists()

@@ -18,7 +18,7 @@ from qtremble import (
     payoff_surface,
     strategy,
 )
-from qtremble.games import game_from_dict, game_to_dict
+from qtremble.games import game_from_dict, game_to_dict, surface_axes
 
 PD = builtin_game("PD")
 EG = builtin_game("EG")
@@ -180,3 +180,13 @@ class TestPayoffSurface:
                 values_a=np.zeros(4),
                 values_b=np.zeros(3),
             )
+
+
+class TestSurfaceAxes:
+    def test_mesh_cap(self):
+        assert len(surface_axes(2, 1024)[0][1]) == 1024
+        assert len(surface_axes(3, 101)[2][1]) == 101
+        with pytest.raises(ValueError, match="plot nodes"):
+            surface_axes(2, 1025)
+        with pytest.raises(ValueError, match="plot nodes"):
+            surface_axes(3, 102)

@@ -277,3 +277,21 @@ class TestClassicalThp:
             classical_thp_check(EG, ("C", "C"), 0.6)
         with pytest.raises(ValueError):
             classical_thp_check(EG, ("C", "X"), 0.01)
+
+
+class TestSearchGridValidation:
+    @pytest.mark.parametrize("nodes", [0, -3, 1, 7])
+    def test_too_few_search_nodes(self, nodes):
+        with pytest.raises(ValueError, match="at least 8 search nodes"):
+            best_response(PD, "A", pure("Q"), dims=2, grid_nodes=nodes)
+
+    @pytest.mark.parametrize("dims, nodes", [(1, 2**20 + 1), (2, 1025), (3, 102)])
+    def test_oversized_search_mesh(self, dims, nodes):
+        c = strategy("C", 3)
+        with pytest.raises(ValueError, match="search nodes exceed"):
+            thp_scan(SH, (c, c), 2, [1.0], response_dims=dims, grid_nodes=nodes)
+
+    def test_nan_tol(self):
+        c = strategy("C", 2)
+        with pytest.raises(ValueError, match="tol"):
+            threshold_search(SH, (c, c), 2, 1.0, 5.0, tol=float("nan"))
