@@ -18,7 +18,6 @@ from .games import (
     classical_equilibria,
     classical_payoff,
     load_game,
-    payoff_surface,
 )
 from .integration import (
     GridResolutionError,
@@ -26,6 +25,7 @@ from .integration import (
     StrategyDistribution,
     default_grid,
     discrete_mixture_payoff,
+    payoff_surface,
     smeared_payoff,
     smeared_payoff_direct,
     smeared_payoff_mc,

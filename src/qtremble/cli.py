@@ -18,7 +18,8 @@ import numpy as np
 
 from . import games as games_mod
 from .distributions import TrembleSpec
-from .integration import GridResolutionError, StrategyDistribution, smeared_payoff
+from .integration import (GridResolutionError, StrategyDistribution, payoff_surface,
+                          smeared_payoff)
 from .quantum import StrategyParams, strategy
 from .thp import NoBracketError, classical_thp_check, thp_scan, threshold_search
 
@@ -151,8 +152,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
     if args.vary not in ("A", "B"):
         raise ConfigError("--vary must be A or B")
     opponent = _parse_distribution(args.opponent, args.dims)
-    surface = games_mod.payoff_surface(game, args.vary, args.dims, opponent,
-                                       grid_nodes=args.nodes, quad_grid=args.quad_nodes)
+    surface = payoff_surface(game, args.vary, args.dims, opponent,
+                             grid_nodes=args.nodes, quad_grid=args.quad_nodes)
     if args.self_check:
         # Probe one representative configuration at doubled quadrature.
         mid = StrategyDistribution.from_pure(
@@ -238,6 +239,17 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 def cmd_classical(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
+    if args.nodes < 2:
+        raise ConfigError(f"need at least 2 nodes per axis, got {args.nodes}")
+    if args.nodes**2 > games_mod.MAX_MESH_NODES:
+        raise ConfigError(f"{args.nodes}^2 classical nodes exceed the limit of "
+                          f"{games_mod.MAX_MESH_NODES}")
+    # Computed before the format branch so that CSV output validates epsilon too.
+    thp_verdicts = {
+        f"{a},{b}": classical_thp_check(game, (a, b), args.epsilon)
+        for a in ("C", "D")
+        for b in ("C", "D")
+    }
     probs = np.linspace(0.0, 1.0, args.nodes)
     rows = []
     for p_a in probs:
@@ -254,11 +266,6 @@ def cmd_classical(args: argparse.Namespace) -> int:
         {"profile": list(profile), "kind": kind}
         for profile, kind in games_mod.classical_equilibria(game)
     ]
-    thp_verdicts = {
-        f"{a},{b}": classical_thp_check(game, (a, b), args.epsilon)
-        for a in ("C", "D")
-        for b in ("C", "D")
-    }
     payload = {
         "metadata": _metadata(args, epsilon=args.epsilon, nodes=args.nodes),
         "equilibria": equilibria,

@@ -1,4 +1,4 @@
-"""2x2 bimatrix games: builtin tables, classical mixing, payoff landscapes."""
+"""2x2 bimatrix games: builtin tables, classical mixing, payoff-landscape axes."""
 
 from __future__ import annotations
 
@@ -61,10 +61,14 @@ def builtin_game(name: str) -> GameSpec:
 
 def game_from_dict(doc: dict) -> GameSpec:
     """Build a GameSpec from a ``{"name", "a", "b"}`` document."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"game document must be an object, got {type(doc).__name__}")
     try:
         return GameSpec(str(doc["name"]), np.array(doc["a"], float), np.array(doc["b"], float))
     except KeyError as exc:
         raise ValueError(f"game document missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"game payoffs must be numbers: {exc}") from exc
 
 
 def game_to_dict(game: GameSpec) -> dict:
@@ -143,29 +147,3 @@ def surface_axes(dims: int, nodes: int) -> list[tuple[str, np.ndarray]]:
         (_AXIS_NAMES[k], np.linspace(spans[k][0], spans[k][1], nodes))
         for k in range(dims)
     ]
-
-
-def payoff_surface(game: GameSpec, varying: str, dims: int, opponent,
-                   grid_nodes: int = 65, quad_grid=None) -> Surface:
-    """Evaluate both players' smeared payoffs while one player sweeps pure strategies.
-
-    ``varying`` is "A" or "B"; the swept player plays every pure strategy on a
-    ``grid_nodes``-per-axis grid over their active parameters while the
-    opponent follows the fixed ``opponent`` distribution (pure, trembled, or a
-    discrete mixture).  Nodes are ordered lexicographically in
-    (theta, alpha, beta).
-    """
-    from .integration import kernel_payoff, payoff_kernels
-    from .quantum import su2_angles
-
-    axes = surface_axes(dims, grid_nodes)
-    mesh = np.meshgrid(*(nodes for _, nodes in axes), indexing="ij")
-    shape = mesh[0].shape
-    flat = [m.reshape(-1) for m in mesh] + [np.zeros(mesh[0].size)] * (3 - dims)
-    gates = su2_angles(flat[0], flat[1], flat[2])
-
-    k_a, k_b = payoff_kernels(game, varying, opponent, quad_grid)
-    values_a = kernel_payoff(k_a, gates).reshape(shape)
-    values_b = kernel_payoff(k_b, gates).reshape(shape)
-    context = f"player {varying} varies ({dims} active parameter(s)); opponent: {opponent.describe()}"
-    return Surface(tuple(axes), values_a, values_b, context)

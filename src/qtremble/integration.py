@@ -1,18 +1,17 @@
 """Smeared expected payoffs over trembled strategies.
 
-The deterministic path integrates each side's tremble into an averaged
-one-qubit channel tensor M[a,c,i,k] = E[U[a,i] * conj(U[c,k])] with the
-periodic trapezoidal rule, then contracts the two channels with the shared
-state and the payoff operators.  Each gate entry is a product of one factor
-per torus coordinate and the tremble is a product of von Mises factors, so M
-is the entrywise product of one 2x2x2x2 moment tensor per active axis: a side
-costs O(d*N) for N nodes per axis instead of O(N^d) on the full mesh, with the
-same nodes and weights.  The rule is spectrally accurate along theta and at
-the C, D and Q centres; off those axes the fixed alpha/beta window [0, 2*pi)
-cuts the 4*pi-periodic gate at a seam and converges only at first order.
-``smeared_payoff_direct`` keeps the plain double summation over the node mesh
-as a reference, and ``smeared_payoff_mc`` provides an independent Monte Carlo
-cross-check.
+A side enters every payoff only through the real symmetric moment
+S = E[q q^T] of its gate quaternion q (``quantum.quaternion``): the payoffs are
+sum_k a_k tr(R_k^T S_A R_k S_B) with ``quantum.BELL_FORMS`` R_k, and against a
+fixed opponent a player's payoff is a form q^T Q q in their own quaternion.
+Tremble integrals use the periodic trapezoidal rule.  Each quaternion entry
+and the von Mises density factor over the torus axes, so S is the entrywise
+product of one 4x4 moment per axis: a side costs O(d*N) for N nodes per axis,
+not O(N^d).  The rule is spectrally accurate along theta and at the C, D and Q
+centres; off those axes the fixed alpha/beta window [0, 2*pi) cuts the
+4*pi-periodic gate at a seam and converges only at first order.
+``smeared_payoff_direct`` (a double sum over the node mesh) and
+``smeared_payoff_mc`` (Monte Carlo) are independent references on SU(2) gates.
 """
 
 from __future__ import annotations
@@ -23,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import TrembleSpec, sample_torus_angles, torus_density_angles, vm_density
-from .games import GameSpec
-from .quantum import TWO_PI, StrategyParams, initial_state, payoff_operators, su2, su2_angles
+from .games import GameSpec, Surface, surface_axes
+from .quantum import (BELL_FORMS, TWO_PI, StrategyParams, form_value, initial_state,
+                      payoff_operators, quaternion, quaternions, su2, su2_angles)
 
 
 # Fewest nodes per torus axis accepted by the quadrature and the best-response search.
@@ -71,11 +71,8 @@ class QuadratureGrid:
 
     def node_angles(self) -> np.ndarray:
         """All grid nodes as (N^dims, 3) angle rows, inactive angles zero."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        flat = np.zeros((mesh[0].size, 3))
-        for axis, m in enumerate(mesh):
-            flat[:, axis] = m.reshape(-1)
-        return flat
+        mesh = np.meshgrid(*self.axes(), *[[0.0]] * (3 - self.dims), indexing="ij")
+        return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
     def doubled(self) -> "QuadratureGrid":
         return QuadratureGrid(2 * self.nodes_per_dim, self.dims)
@@ -90,8 +87,11 @@ def default_grid(dims: int, kappa: float) -> QuadratureGrid:
     """
     base = 64 if dims <= 2 else 48
     if kappa > 0:
-        need = math.ceil(math.sqrt(56.0 * kappa) / 8.0) * 8
-        base = max(base, need)
+        need = math.sqrt(56.0 * kappa)
+        if not need <= MAX_NODES_PER_AXIS:
+            raise ValueError(f"kappa={kappa:g} needs quadrature nodes per dimension that "
+                             f"exceed the limit of {MAX_NODES_PER_AXIS}")
+        base = max(base, math.ceil(need / 8.0) * 8)
     return QuadratureGrid(base, dims)
 
 
@@ -119,8 +119,8 @@ class StrategyDistribution:
         if not comps:
             raise ValueError("mixture needs at least one component")
         for w, comp in comps:
-            if w < 0:
-                raise ValueError("mixture weights must be nonnegative")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"mixture weights must be finite and nonnegative, got {w!r}")
             if not isinstance(comp, StrategyDistribution) or comp.kind == "mixture":
                 raise ValueError("mixture components must be pure or trembled distributions")
         total = math.fsum(w for w, _ in comps)
@@ -170,52 +170,64 @@ def tremble_nodes(spec: TrembleSpec, grid=None) -> tuple[np.ndarray, np.ndarray]
     return angles, dens * grid.weight
 
 
-def side_tensor(dist: StrategyDistribution, grid=None) -> np.ndarray:
-    """Averaged one-qubit channel tensor M[a,c,i,k] = E[U[a,i] conj(U[c,k])].
+def side_moment(dist: StrategyDistribution, grid=None) -> np.ndarray:
+    """A side's second moment S = E[q q^T] of its gate quaternion q.
 
-    The expectation is over the side's strategy distribution; a pure side
-    gives the rank-1 tensor of its gate, a trembled side the entrywise product
-    of its per-axis moments, and a mixture the weighted sum of its components.
-    All smeared payoffs are bilinear in these tensors, which is what makes the
-    factorized evaluation exact.
+    A pure side gives q q^T, a mixture the weighted sum of its components, and
+    a tremble the entrywise product over the three axes of sum_n w_n f f^T at
+    its nodes x_n, where q is the entrywise product of the half-angle factors
+    f_theta = (c, c, s, s), f_alpha = (c, s, 1, 1) and f_beta = (1, 1, c, s).
+    An inactive axis contributes f(0) f(0)^T.
     """
     if dist.kind == "pure":
-        gate = su2(dist.pure)
-        return np.einsum("ai,ck->acik", gate, gate.conj())
+        q = np.array(quaternion(dist.pure))
+        return np.outer(q, q)
     if dist.kind == "trembled":
         spec = dist.tremble
         grid = _resolve_grid(spec, grid)
-        tensor = np.ones((2, 2, 2, 2), dtype=complex)
-        for axis, (nodes, center) in enumerate(zip(grid.axes(), spec.center.active)):
-            weights = vm_density(nodes, center, spec.kappa) * grid.spacing
-            factor = _axis_factor(axis, nodes)
-            tensor *= np.einsum("n,nai,nck->acik", weights, factor, factor.conj())
-        return tensor
-    return sum(w * side_tensor(comp, grid) for w, comp in dist.mixture)
+        axes = grid.axes()
+        moment = np.ones((4, 4))
+        for axis in range(3):
+            if axis < spec.dims:
+                nodes = axes[axis]
+                weights = vm_density(nodes, spec.center.active[axis], spec.kappa) * grid.spacing
+            else:  # an inactive angle sits at 0
+                nodes, weights = np.zeros(1), np.ones(1)
+            c, s, one = np.cos(nodes / 2.0), np.sin(nodes / 2.0), np.ones_like(nodes)
+            factor = np.array([(c, c, s, s), (c, s, one, one), (one, one, c, s)][axis])
+            moment *= (weights * factor) @ factor.T
+        return moment
+    return sum(w * side_moment(comp, grid) for w, comp in dist.mixture)
 
 
-def _axis_factor(axis: int, x: np.ndarray) -> np.ndarray:
-    """Factors F[n,a,i] of one torus axis; the gate is their entrywise product.
+def _forms(game: GameSpec, varying: str, moment: np.ndarray) -> np.ndarray:
+    """Alice's and Bob's payoff forms (2, 4, 4) in the varying player's quaternion.
 
-    theta gives [[cos, sin], [-sin, cos]](x/2), alpha [[e^(ix/2), 1], [1, e^(-ix/2)]]
-    and beta [[1, e^(ix/2)], [e^(-ix/2), 1]], matching ``su2_angles``.
+    Against an opponent moment S, Bob's outcome probabilities are
+    q^T (R_k^T S R_k) q and Alice's are p^T (R_k S R_k^T) p.
     """
-    if axis == 0:
-        c, s = np.cos(x / 2.0), np.sin(x / 2.0)
-        rows = [[c, s], [-s, c]]
-    else:
-        e, one = np.exp(0.5j * x), np.ones_like(x)
-        rows = [[e, one], [one, e.conj()]] if axis == 1 else [[one, e], [e.conj(), one]]
-    return np.moveaxis(np.array(rows, dtype=complex), -1, 0)
+    r = BELL_FORMS if varying == "A" else BELL_FORMS.transpose(0, 2, 1)
+    blocks = r @ moment @ r.transpose(0, 2, 1)
+    forms = np.tensordot([game.payoff_a.ravel(), game.payoff_b.ravel()], blocks, axes=1)
+    return 0.5 * (forms + forms.transpose(0, 2, 1))
 
 
-def _rho4() -> np.ndarray:
-    return initial_state().reshape(2, 2, 2, 2)
+def payoff_forms(game: GameSpec, varying: str, opponent: StrategyDistribution,
+                 grid=None) -> np.ndarray:
+    """Alice's and Bob's payoffs as symmetric forms q^T Q q in the varying player's q.
+
+    ``varying`` names the player ("A" or "B") whose gate stays free; the
+    opponent side is pre-integrated into its moment.  Returns shape (2, 4, 4).
+    """
+    if varying not in ("A", "B"):
+        raise ValueError("varying must be 'A' or 'B'")
+    return _forms(game, varying, side_moment(opponent, grid))
 
 
-def _contract_both(p4: np.ndarray, m_a: np.ndarray, m_b: np.ndarray) -> float:
-    value = np.einsum("cdab,acik,bdjl,ijkl->", p4, m_a, m_b, _rho4(), optimize=True)
-    return float(value.real)
+def _payoffs(game: GameSpec, moment_a: np.ndarray, moment_b: np.ndarray) -> tuple[float, float]:
+    """Both payoffs sum_k a_k tr(R_k^T S_A R_k S_B) for two side moments."""
+    form_a, form_b = _forms(game, "B", moment_a)
+    return float(np.sum(form_a * moment_b)), float(np.sum(form_b * moment_b))
 
 
 def smeared_payoff(game: GameSpec, dist_a: StrategyDistribution, dist_b: StrategyDistribution,
@@ -225,20 +237,14 @@ def smeared_payoff(game: GameSpec, dist_a: StrategyDistribution, dist_b: Strateg
     Pure sides collapse to point evaluation; trembled sides are integrated on
     a periodic trapezoidal grid (``grid``: node count, QuadratureGrid, or None
     for a concentration-aware default); a mixture side is mixed linearly in
-    its channel tensor.  With ``self_check`` the result is recomputed with
-    every trembled side or component at doubled resolution and a
+    its moment.  With ``self_check`` the result is recomputed with every
+    trembled side or component at doubled resolution and a
     GridResolutionError is raised when the two disagree by more than 1e-6.
     """
-    op_a, op_b = payoff_operators(game)
-    m_a = side_tensor(dist_a, grid)
-    m_b = side_tensor(dist_b, grid)
-    pay = (_contract_both(op_a.reshape(2, 2, 2, 2), m_a, m_b),
-           _contract_both(op_b.reshape(2, 2, 2, 2), m_a, m_b))
+    pay = _payoffs(game, side_moment(dist_a, grid), side_moment(dist_b, grid))
     if self_check:
-        m_a2 = _doubled_side_tensor(dist_a, grid)
-        m_b2 = _doubled_side_tensor(dist_b, grid)
-        pay2 = (_contract_both(op_a.reshape(2, 2, 2, 2), m_a2, m_b2),
-                _contract_both(op_b.reshape(2, 2, 2, 2), m_a2, m_b2))
+        pay2 = _payoffs(game, _doubled_side_moment(dist_a, grid),
+                        _doubled_side_moment(dist_b, grid))
         drift = max(abs(pay[0] - pay2[0]), abs(pay[1] - pay2[1]))
         if drift > 1e-6:
             raise GridResolutionError(
@@ -247,42 +253,32 @@ def smeared_payoff(game: GameSpec, dist_a: StrategyDistribution, dist_b: Strateg
     return pay
 
 
-def _doubled_side_tensor(dist: StrategyDistribution, grid) -> np.ndarray:
-    """``side_tensor`` with every trembled component on twice its resolved grid."""
+def _doubled_side_moment(dist: StrategyDistribution, grid) -> np.ndarray:
+    """``side_moment`` with every trembled component on twice its resolved grid."""
     if dist.kind == "trembled":
-        return side_tensor(dist, _resolve_grid(dist.tremble, grid).doubled())
+        return side_moment(dist, _resolve_grid(dist.tremble, grid).doubled())
     if dist.kind == "mixture":
-        return sum(w * _doubled_side_tensor(comp, grid) for w, comp in dist.mixture)
-    return side_tensor(dist, grid)
+        return sum(w * _doubled_side_moment(comp, grid) for w, comp in dist.mixture)
+    return side_moment(dist, grid)
 
 
-def payoff_kernels(game: GameSpec, varying: str, opponent: StrategyDistribution,
-                   grid=None) -> tuple[np.ndarray, np.ndarray]:
-    """Kernels K with payoff(U) = Re sum K[a,c,i,k] U[a,i] conj(U[c,k]).
+def payoff_surface(game: GameSpec, varying: str, dims: int, opponent: StrategyDistribution,
+                   grid_nodes: int = 65, quad_grid=None) -> Surface:
+    """Evaluate both players' smeared payoffs while one player sweeps pure strategies.
 
-    ``varying`` names the player ("A" or "B") whose gate stays free; the
-    opponent side is pre-integrated.  Returns the kernel pair for Alice's and
-    Bob's payoff operators, in that order.
+    ``varying`` is "A" or "B"; the swept player plays every pure strategy on a
+    ``grid_nodes``-per-axis grid over their active parameters while the
+    opponent follows the fixed ``opponent`` distribution (pure, trembled, or a
+    discrete mixture).  Nodes are ordered lexicographically in
+    (theta, alpha, beta), and each node is scored at its raw plot angles.
     """
-    if varying not in ("A", "B"):
-        raise ValueError("varying must be 'A' or 'B'")
-    op_a, op_b = payoff_operators(game)
-    m_opp = side_tensor(opponent, grid)
-    rho = _rho4()
-    kernels = []
-    for op in (op_a, op_b):
-        p4 = op.reshape(2, 2, 2, 2)
-        if varying == "A":
-            kernels.append(np.einsum("cdab,bdjl,ijkl->acik", p4, m_opp, rho, optimize=True))
-        else:
-            kernels.append(np.einsum("cdab,acik,ijkl->bdjl", p4, m_opp, rho, optimize=True))
-    return kernels[0], kernels[1]
-
-
-def kernel_payoff(kernel: np.ndarray, gates: np.ndarray) -> np.ndarray:
-    """Evaluate a payoff kernel on a batch of gates with shape (..., 2, 2)."""
-    gates = np.asarray(gates, dtype=complex)
-    return np.einsum("...ai,...ck,acik->...", gates, gates.conj(), kernel).real
+    axes = surface_axes(dims, grid_nodes)
+    mesh = np.meshgrid(*(nodes for _, nodes in axes), *[[0.0]] * (3 - dims), indexing="ij")
+    quats = quaternions(np.stack([m.reshape(-1) for m in mesh], axis=1))
+    values_a, values_b = (form_value(form, quats).reshape((grid_nodes,) * dims)
+                          for form in payoff_forms(game, varying, opponent, quad_grid))
+    context = f"player {varying} varies ({dims} active parameter(s)); opponent: {opponent.describe()}"
+    return Surface(tuple(axes), values_a, values_b, context)
 
 
 def smeared_payoff_direct(game: GameSpec, dist_a: StrategyDistribution,
@@ -290,7 +286,8 @@ def smeared_payoff_direct(game: GameSpec, dist_a: StrategyDistribution,
     """Reference evaluation by explicit double summation over both grids.
 
     Exponentially slower than ``smeared_payoff`` but structurally independent
-    of the factorized channel path; kept for validation.
+    of the quaternion moments: it sums final states of SU(2) gates; kept for
+    validation.
     """
     nodes_a, weights_a = _side_nodes(dist_a, grid)
     nodes_b, weights_b = _side_nodes(dist_b, grid)
@@ -325,7 +322,7 @@ def discrete_mixture_payoff(game: GameSpec, mix_a: StrategyDistribution,
 
     Non-mixture arguments are treated as one-component mixtures.  This is the
     pairwise reference for ``smeared_payoff``, which mixes each side linearly
-    in its channel tensor instead of looping over component pairs.
+    in its moment instead of looping over component pairs.
     """
     comps_a = mix_a.mixture if mix_a.kind == "mixture" else ((1.0, mix_a),)
     comps_b = mix_b.mixture if mix_b.kind == "mixture" else ((1.0, mix_b),)

@@ -9,6 +9,13 @@ so that C = U(0,0,0) = I, D = U(pi,0,0) = [[0,1],[-1,0]] and
 Q = U(0,pi,0) = diag(i,-i).  Both players act on the entangled state
 (|00> + i|11>)/sqrt(2) and payoffs are traces against Bell-basis payoff
 operators.
+
+This module also owns the real form of the same game.  A gate is the unit
+quaternion q of U = q0*I + q1*iZ + q2*iY + q3*iX, and the Bell amplitude of
+outcome k (CC, CD, DC, DD) is p^T R_k q for Alice's quaternion p and Bob's q,
+with fixed signed-permutation matrices R_k (Landsburg, Notices of the AMS
+51(4), 2004).  So payoff = sum_k a_k (p^T R_k q)^2, and a payoff that is
+quadratic in one player's quaternion is the symmetric form q^T Q q.
 """
 
 from __future__ import annotations
@@ -114,6 +121,32 @@ def su2(params: StrategyParams) -> np.ndarray:
     return su2_angles(params.theta, params.alpha, params.beta)
 
 
+def quaternion(params: StrategyParams) -> tuple[float, float, float, float]:
+    """Unit quaternion q of ``su2(params)``, so that U = q0*I + q1*iZ + q2*iY + q3*iX.
+
+    q = (cos(a/2)cos(t/2), sin(a/2)cos(t/2), cos(b/2)sin(t/2), sin(b/2)sin(t/2))
+    for (t, a, b) = (theta, alpha, beta).
+    """
+    c, s = math.cos(params.theta / 2.0), math.sin(params.theta / 2.0)
+    half_a, half_b = params.alpha / 2.0, params.beta / 2.0
+    return (math.cos(half_a) * c, math.sin(half_a) * c,
+            math.cos(half_b) * s, math.sin(half_b) * s)
+
+
+def quaternions(angles: np.ndarray) -> np.ndarray:
+    """Unit quaternions (4, n) of the gates of raw (n, 3) angle rows, as ``quaternion``."""
+    c, s = np.cos(angles[:, 0] / 2.0), np.sin(angles[:, 0] / 2.0)
+    half_a, half_b = angles[:, 1] / 2.0, angles[:, 2] / 2.0
+    return np.array([np.cos(half_a) * c, np.sin(half_a) * c,
+                     np.cos(half_b) * s, np.sin(half_b) * s])
+
+
+def form_value(form: np.ndarray, q):
+    """q^T Q q for one quaternion or a (4, n) stack, in the same operation order for both."""
+    return sum(qm * (row[0] * q[0] + row[1] * q[1] + row[2] * q[2] + row[3] * q[3])
+               for qm, row in zip(q, form.tolist()))
+
+
 # Bell basis in the |00>,|01>,|10>,|11> ordering.
 _BELL_KETS = {
     "CC": np.array([1.0, 0.0, 0.0, 1.0j]) / math.sqrt(2.0),
@@ -132,6 +165,16 @@ def _projector(ket: np.ndarray) -> np.ndarray:
 
 
 _BELL_PROJECTORS = tuple(_projector(_BELL_KETS[k]) for k in BELL_ORDER)
+
+
+# R_k with <k|(U_A (x) U_B)|psi_0> = p^T R_k q, in BELL_ORDER.
+BELL_FORMS = np.array([
+    [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]],
+    [[0, 0, -1, 0], [0, 0, 0, -1], [0, 1, 0, 0], [-1, 0, 0, 0]],
+    [[0, 0, 0, -1], [0, 0, 1, 0], [-1, 0, 0, 0], [0, -1, 0, 0]],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+], dtype=float)
+BELL_FORMS.setflags(write=False)
 
 
 def bell_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -153,15 +196,6 @@ def check_unitary(gate: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
     if defect > tol:
         raise ValueError(f"gate is not unitary (defect {defect:.3e} > {tol:.1e})")
     return gate
-
-
-def is_special_unitary(gate: np.ndarray, tol: float = CONSTRUCTION_TOL) -> bool:
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (2, 2):
-        return False
-    unit = np.abs(gate.conj().T @ gate - np.eye(2)).max() <= tol
-    det = abs(np.linalg.det(gate) - 1.0) <= tol
-    return bool(unit and det)
 
 
 def check_density_matrix(rho: np.ndarray,
@@ -230,8 +264,3 @@ def gate_distances(gates: np.ndarray, reference: np.ndarray) -> np.ndarray:
     phase = np.where(mag > 1e-12, inner / np.where(mag > 1e-12, mag, 1.0), 1.0)
     diff = gates - phase[..., None, None] * reference
     return np.abs(diff).max(axis=(-2, -1))
-
-
-def params_distance(p: StrategyParams, q: StrategyParams) -> float:
-    """Gate distance between the unitaries of two torus points."""
-    return gate_distance(su2(p), su2(q))

@@ -9,12 +9,12 @@ the refined argmax when that lies beyond 0.5 as well.  Scanning the
 concentration parameter and bisecting the verdict locates robustness
 thresholds.
 
-The best-response search scores each gate through its unit quaternion: with
-U = q0*I + q1*iZ + q2*iY + q3*iX, a payoff kernel K becomes the real symmetric
-form q^T Q q, so grid values, refinement steps and reference payoffs are a few
-float operations per gate.  Two SU(2) gates have the real overlap
-tr(V^dagger U) = 2 p.q, so their aligning phase is +-1 and gate distances come
-from quaternion differences as well.
+The best-response search scores each gate through its unit quaternion q: the
+opponent's moment gives the responder's payoff as the real symmetric form
+q^T Q q (``integration.payoff_forms``), so grid values, refinement steps and
+reference payoffs are a few float operations per gate.  Two SU(2) gates have
+the real overlap tr(V^dagger U) = 2 p.q, so their aligning phase is +-1 and
+gate distances come from quaternion differences as well.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 
 from .distributions import TrembleSpec
 from .games import MAX_MESH_NODES, PAYOFF_TIE_TOL, GameSpec, classical_payoff
-from .integration import MIN_NODES_PER_AXIS, StrategyDistribution, payoff_kernels
-from .quantum import StrategyParams
+from .integration import MIN_NODES_PER_AXIS, StrategyDistribution, payoff_forms
+from .quantum import StrategyParams, form_value, quaternion, quaternions
 
 # Argmax within this gate distance of the equilibrium counts as "did not move".
 ANGLE_TOL = 0.05
@@ -38,14 +38,6 @@ EXCLUSION_RADIUS = 0.5
 REFINE_MIN_STEP = 1e-4
 
 _DEFAULT_SEARCH_NODES = {1: 64, 2: 64, 3: 32}
-
-# Gates are U = q0*I + q1*iZ + q2*iY + q3*iX for the unit quaternion q.
-_QUATERNION_BASIS = np.array([
-    [[1, 0], [0, 1]],
-    [[1j, 0], [0, -1j]],
-    [[0, 1], [-1, 0]],
-    [[0, 1j], [1j, 0]],
-])
 
 
 class NoBracketError(ValueError):
@@ -79,35 +71,6 @@ class RobustnessVerdict:
     holds: bool
     distance: float
     margin: float
-
-
-def _quaternion(params: StrategyParams) -> tuple[float, float, float, float]:
-    """Unit quaternion of ``su2(params)``."""
-    c, s = math.cos(params.theta / 2.0), math.sin(params.theta / 2.0)
-    half_a, half_b = params.alpha / 2.0, params.beta / 2.0
-    return (math.cos(half_a) * c, math.sin(half_a) * c,
-            math.cos(half_b) * s, math.sin(half_b) * s)
-
-
-def _quaternions(angles: np.ndarray) -> np.ndarray:
-    """Unit quaternions (4, n) of the gates of (n, 3) angle rows, as ``_quaternion``."""
-    c, s = np.cos(angles[:, 0] / 2.0), np.sin(angles[:, 0] / 2.0)
-    half_a, half_b = angles[:, 1] / 2.0, angles[:, 2] / 2.0
-    return np.array([np.cos(half_a) * c, np.sin(half_a) * c,
-                     np.cos(half_b) * s, np.sin(half_b) * s])
-
-
-def _form(kernel: np.ndarray) -> np.ndarray:
-    """Real symmetric Q with ``kernel_payoff(kernel, U) == q^T Q q`` for U's quaternion q."""
-    raw = np.einsum("acik,mai,nck->mn", kernel, _QUATERNION_BASIS,
-                    _QUATERNION_BASIS.conj()).real
-    return 0.5 * (raw + raw.T)
-
-
-def _form_value(form: np.ndarray, q):
-    """q^T Q q for one quaternion or a (4, n) stack, in the same operation order for both."""
-    return sum(qm * (row[0] * q[0] + row[1] * q[1] + row[2] * q[2] + row[3] * q[3])
-               for qm, row in zip(q, form.tolist()))
 
 
 def _distances(quats, p) -> np.ndarray:
@@ -148,17 +111,10 @@ def _search_grid(dims: int, grid_nodes: int | None) -> _SearchGrid:
         raise ValueError(f"{nodes}^{dims} search nodes exceed the limit of {MAX_MESH_NODES}")
     step = 2.0 * math.pi / nodes
     grid = step * np.arange(nodes)
-    mesh = np.meshgrid(*[(-math.pi + grid), grid, grid][:dims], indexing="ij")
-    angles = np.zeros((mesh[0].size, 3))
-    for axis, m in enumerate(mesh):
-        angles[:, axis] = m.reshape(-1)
-    return _SearchGrid(dims, step, angles, _quaternions(angles))
-
-
-def _response_form(game: GameSpec, responder: str, opponent: StrategyDistribution,
-                   quad_grid) -> np.ndarray:
-    kernels = payoff_kernels(game, responder, opponent, quad_grid)
-    return _form(kernels[0] if responder == "A" else kernels[1])
+    mesh = np.meshgrid(*[(-math.pi + grid), grid, grid][:dims], *[[0.0]] * (3 - dims),
+                       indexing="ij")
+    angles = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    return _SearchGrid(dims, step, angles, quaternions(angles))
 
 
 def _refine(form: np.ndarray, start: StrategyParams, value: float, dims: int,
@@ -173,7 +129,7 @@ def _refine(form: np.ndarray, start: StrategyParams, value: float, dims: int,
                 angles = list(best.angles)
                 angles[axis] += delta
                 cand = StrategyParams(angles[0], angles[1], angles[2], dims)
-                v = _form_value(form, _quaternion(cand))
+                v = form_value(form, quaternion(cand))
                 evals += 1
                 if v > best_value:
                     best, best_value = cand, v
@@ -186,7 +142,7 @@ def _refine(form: np.ndarray, start: StrategyParams, value: float, dims: int,
 def _maximize(form: np.ndarray, grid: _SearchGrid,
               refine: bool) -> tuple[StrategyParams, float, np.ndarray]:
     """Best strategy, its value, and the values of all grid nodes."""
-    values = _form_value(form, grid.quats)
+    values = form_value(form, grid.quats)
     top = int(np.argmax(values))  # first maximum = lowest lexicographic node
     best = StrategyParams(*grid.angles[top], grid.dims)
     best_value = float(values[top])
@@ -197,7 +153,7 @@ def _maximize(form: np.ndarray, grid: _SearchGrid,
 
 def _runner_up_gap(grid: _SearchGrid, values: np.ndarray, best: StrategyParams,
                    best_value: float) -> float:
-    away = grid.outside(_quaternion(best))
+    away = grid.outside(quaternion(best))
     return best_value - float(values[away].max()) if away.any() else math.inf
 
 
@@ -208,11 +164,11 @@ def _deviation(form: np.ndarray, values: np.ndarray, best: StrategyParams,
 
     ``outside`` masks the grid nodes beyond ``EXCLUSION_RADIUS`` of the reference.
     """
-    distance = float(_distances(_quaternion(best), reference))
+    distance = float(_distances(quaternion(best), reference))
     alternative = float(values[outside].max()) if outside.any() else -math.inf
     if distance > EXCLUSION_RADIUS:
         alternative = max(alternative, best_value)
-    ref_payoff = float(_form_value(form, reference))
+    ref_payoff = float(form_value(form, reference))
     margin = ref_payoff - alternative if math.isfinite(alternative) else math.inf
     return distance, margin
 
@@ -230,7 +186,7 @@ def best_response(game: GameSpec, responder: str, opponent: StrategyDistribution
     followed, when ``refine`` is set, by coordinate descent down to 1e-4 rad.
     """
     grid = _search_grid(dims, grid_nodes)
-    form = _response_form(game, responder, opponent, quad_grid)
+    form = payoff_forms(game, responder, opponent, quad_grid)["AB".index(responder)]
     best, value, values = _maximize(form, grid, refine)
     return BestResponse(best, value, _runner_up_gap(grid, values, best, value))
 
@@ -247,8 +203,9 @@ def check_equilibrium(game: GameSpec, profile: tuple[StrategyParams, StrategyPar
     params_a, params_b = profile
     strict = True
     for responder, own, other in (("A", params_a, params_b), ("B", params_b, params_a)):
-        own_q = _quaternion(own.with_dims(dims))
-        form = _response_form(game, responder, StrategyDistribution.from_pure(other), None)
+        own_q = quaternion(own.with_dims(dims))
+        form = payoff_forms(game, responder, StrategyDistribution.from_pure(other))[
+            "AB".index(responder)]
         best, value, values = _maximize(form, grid, refine=True)
         if not _holds(*_deviation(form, values, best, value, own_q, grid.outside(own_q))):
             return "not-equilibrium"
@@ -274,7 +231,7 @@ class _Verdicts:
         sides = [("B", 0, 1)] if not both_sides else [("B", 0, 1), ("A", 1, 0)]
         for responder, trembler_idx, responder_idx in sides:
             center = profile[trembler_idx].with_dims(tremble_dims)
-            reference = _quaternion(profile[responder_idx].with_dims(response_dims))
+            reference = quaternion(profile[responder_idx].with_dims(response_dims))
             self.sides.append((responder, center, reference, self.grid.outside(reference)))
 
     def at(self, kappa: float) -> RobustnessVerdict:
@@ -283,7 +240,8 @@ class _Verdicts:
         margin = math.inf
         for responder, center, reference, outside in self.sides:
             opponent = StrategyDistribution.from_tremble(TrembleSpec(center, kappa))
-            form = _response_form(self.game, responder, opponent, self.quad_grid)
+            form = payoff_forms(self.game, responder, opponent,
+                                self.quad_grid)["AB".index(responder)]
             best, value, values = _maximize(form, self.grid, refine=True)
             side_distance, side_margin = _deviation(form, values, best, value,
                                                     reference, outside)
@@ -333,8 +291,8 @@ def threshold_search(game: GameSpec, profile: tuple[StrategyParams, StrategyPara
     """Bisect the holds/fails verdict to locate the robustness threshold.
 
     The endpoints must disagree (NoBracketError otherwise); the bracket is
-    narrowed until its width is at most ``tol`` and the midpoint is reported
-    as kappa_star.
+    narrowed until its width is at most ``tol``, or until no float lies
+    between its ends, and the midpoint is reported as kappa_star.
     """
     if not (0 < kappa_lo < kappa_hi):
         raise ValueError("need 0 < kappa_lo < kappa_hi")
@@ -354,6 +312,8 @@ def threshold_search(game: GameSpec, profile: tuple[StrategyParams, StrategyPara
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # the bracket is down to adjacent floats
+            break
         if verdict(mid) == holds_lo:
             lo = mid
         else:

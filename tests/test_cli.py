@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -224,6 +225,62 @@ class TestErrorHandling:
         assert rc == 2
 
 
+    def test_non_finite_mixture_weight(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run_main("surface", "--game", "PD", "--vary", "B",
+                      "--opponent", "mix:C=nan,D=0.5", "--out", str(out))
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_game_file_must_hold_an_object(self, tmp_path, capsys):
+        game = tmp_path / "list.json"
+        game.write_text("[1, 2]")
+        rc = run_main("thp", "--game", str(game), "--profile", "C:C", "--kappa", "1",
+                      "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        assert "object" in capsys.readouterr().err
+
+    def test_sharp_kappa_without_a_grid(self, tmp_path, capsys):
+        # sqrt(56 * 1e308) overflows to inf nodes per axis.
+        rc = run_main("thp", "--game", "SH", "--profile", "C:C", "--kappa", "1e308",
+                      "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        assert "quadrature nodes" in capsys.readouterr().err
+
+
+class TestClassicalValidation:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_nan_epsilon(self, tmp_path, capsys, fmt):
+        out = tmp_path / "x.out"
+        rc = run_main("classical", "--game", "EG", "--epsilon", "nan", "--format", fmt,
+                      "--out", str(out))
+        assert rc == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nodes", ["0", "1", "-5"])
+    def test_too_few_nodes(self, tmp_path, capsys, nodes):
+        out = tmp_path / "x.csv"
+        rc = run_main("classical", "--game", "EG", "--nodes", nodes, "--out", str(out))
+        assert rc == 2
+        assert "at least 2 nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_mesh_is_refused_before_allocation(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run_main("classical", "--game", "EG", "--nodes", "100000000", "--out", str(out))
+        assert rc == 2
+        assert "classical nodes exceed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_mesh_bound(self, tmp_path):
+        rc = run_main("classical", "--game", "EG", "--nodes", "2", "--out", str(tmp_path / "x"))
+        assert rc == 0
+        assert run_main("classical", "--game", "EG", "--nodes", "1025",
+                        "--out", str(tmp_path / "y")) == 2
+
+
 class TestSubprocessEntryPoint:
     def test_module_invocation_is_deterministic(self, tmp_path):
         cmd = [sys.executable, "-m", "qtremble", "thp", "--game", "EG",
@@ -233,6 +290,21 @@ class TestSubprocessEntryPoint:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["verdicts"][0]["holds"] is False
+
+    def test_tiny_tol_bisection_ends(self):
+        # Bisection cannot narrow below the float spacing near kappa = 1.6;
+        # it must stop there instead of looping on a fixed midpoint.
+        cmd = [sys.executable, "-m", "qtremble", "threshold", "--game", "SH",
+               "--profile", "C:C", "--lo", "1", "--hi", "5", "--tol", "1e-300",
+               "--format", "json"]
+        start = time.monotonic()
+        proc = subprocess.run(cmd, capture_output=True, timeout=60)
+        assert time.monotonic() - start < 60
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        lo, hi = doc["bracket"]
+        assert 0 < hi - lo <= 4 * math.ulp(lo)
+        assert doc["holds_at_lo"] is False and doc["holds_at_hi"] is True
 
     def test_missing_subcommand_exits_2(self):
         proc = subprocess.run([sys.executable, "-m", "qtremble"], capture_output=True)

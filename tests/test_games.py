@@ -9,14 +9,18 @@ import pytest
 from qtremble import (
     GameSpec,
     StrategyDistribution,
+    StrategyParams,
     Surface,
     TrembleSpec,
     builtin_game,
     classical_equilibria,
     classical_payoff,
     load_game,
+    expected_payoff,
     payoff_surface,
     strategy,
+    su2,
+    su2_angles,
 )
 from qtremble.games import game_from_dict, game_to_dict, surface_axes
 
@@ -65,6 +69,16 @@ class TestGameSpec:
     def test_missing_key(self):
         with pytest.raises(ValueError):
             game_from_dict({"name": "x", "a": [[1, 2], [3, 4]]})
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        "PD",
+        {"name": "x", "a": {"C": 1}, "b": [[1, 2], [3, 4]]},
+        {"name": "x", "a": [[1, 2], [3, 4]], "b": [[None, 2], [3, 4]]},
+    ], ids=["list", "string", "object-payoffs", "null-payoff"])
+    def test_malformed_documents_are_value_errors(self, doc):
+        with pytest.raises(ValueError):
+            game_from_dict(doc)
 
 
 class TestClassicalPayoff:
@@ -168,6 +182,21 @@ class TestPayoffSurface:
         for theta, got in zip(surf.axes[0][1], surf.values_b):
             want = classical_payoff(EG, 1.0, math.cos(theta / 2) ** 2)[1]
             assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("varying", ["A", "B"])
+    def test_rows_match_gate_payoffs_at_raw_angles(self, varying):
+        # alpha = 2*pi rows keep their own gate -Z U Z instead of wrapping to alpha = 0.
+        fixed = StrategyParams(0.9, 2.2, 4.0)
+        surf = payoff_surface(SH, varying, 2, StrategyDistribution.from_pure(fixed),
+                              grid_nodes=9)
+        for i, theta in enumerate(surf.axes[0][1]):
+            for j, alpha in enumerate(surf.axes[1][1]):
+                gates = (su2_angles(theta, alpha, 0.0), su2(fixed))
+                want = expected_payoff(SH, *(gates if varying == "A" else gates[::-1]))
+                got = (surf.values_a[i, j], surf.values_b[i, j])
+                assert got == pytest.approx(want, abs=1e-12)
+        # ... which pays differently from the alpha = 0 rows here.
+        assert np.abs(surf.values_a[:, -1] - surf.values_a[:, 0]).max() > 0.1
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtremble import (
+    GameSpec,
     GridResolutionError,
     QuadratureGrid,
     StrategyDistribution,
@@ -27,7 +28,8 @@ from qtremble import (
     su2_angles,
 )
 from qtremble.distributions import bessel_i_scaled
-from qtremble.integration import MAX_NODES_PER_AXIS, side_tensor, tremble_nodes
+from qtremble.integration import MAX_NODES_PER_AXIS, side_moment, tremble_nodes
+from qtremble.quantum import quaternions
 
 PD = builtin_game("PD")
 EG = builtin_game("EG")
@@ -44,6 +46,29 @@ def trembled(name, kappa, dims=2):
 
 def bessel_ratio(kappa):
     return bessel_i(1, kappa) / bessel_i(0, kappa)
+
+
+_payoff_table = st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4)
+
+
+@st.composite
+def _distribution(draw, dims, trembled):
+    """A pure side, an off-axis tremble, or a two-component mixture, on ``dims`` axes."""
+
+    def component(trembles):
+        angles = [draw(st.floats(-10.0, 10.0)) if k < dims else 0.0 for k in range(3)]
+        center = StrategyParams(*angles, dims)
+        if not trembles:
+            return StrategyDistribution.from_pure(center)
+        return StrategyDistribution.from_tremble(TrembleSpec(center, draw(st.floats(0.0, 50.0))))
+
+    if not trembled:
+        return component(False)
+    if draw(st.booleans()):
+        return component(True)
+    weight = draw(st.floats(0.0, 1.0))
+    return StrategyDistribution.from_mixture([(weight, component(True)),
+                                              (1.0 - weight, component(draw(st.booleans())))])
 
 
 class TestQuadratureGrid:
@@ -73,26 +98,26 @@ class TestQuadratureGrid:
         assert QuadratureGrid(MAX_NODES_PER_AXIS, 3).nodes_per_dim == MAX_NODES_PER_AXIS
         with pytest.raises(ValueError, match="exceed"):
             QuadratureGrid(MAX_NODES_PER_AXIS + 1, 1)
-        with pytest.raises(ValueError, match="exceed"):
-            default_grid(2, 1e13)
+        for kappa in (1e13, 1e308, math.inf):
+            with pytest.raises(ValueError, match="exceed"):
+                default_grid(2, kappa)
 
 
-def mesh_side_tensor(spec, grid):
-    """Channel tensor summed over the full N^d node mesh, gate by gate.
+def mesh_side_moment(spec, grid):
+    """E[q q^T] summed over the full N^d node mesh, quaternion by quaternion.
 
     Each entry is an ``np.sum`` (pairwise summation): a plain einsum loop over
     a 96^3 mesh accumulates about 1e-12 of roundoff on its own.
     """
     angles, weights = tremble_nodes(spec, grid)
-    gates = su2_angles(angles[:, 0], angles[:, 1], angles[:, 2])
-    weighted = weights[:, None, None] * gates
-    out = np.empty((2, 2, 2, 2), dtype=complex)
-    for a, c, i, k in np.ndindex(out.shape):
-        out[a, c, i, k] = np.sum(weighted[:, a, i] * gates[:, c, k].conj())
+    quats = quaternions(angles)
+    out = np.empty((4, 4))
+    for m, n in np.ndindex(out.shape):
+        out[m, n] = np.sum(weights * quats[m] * quats[n])
     return out
 
 
-class TestSeparableChannel:
+class TestSideMoment:
     @given(
         dims=st.integers(1, 3),
         center=st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10)),
@@ -102,23 +127,24 @@ class TestSeparableChannel:
     @example(dims=3, center=(0.0, math.pi, 0.0), kappa=300.0, nodes=8)
     @example(dims=3, center=(math.pi, 0.0, 0.0), kappa=0.0, nodes=96)
     @example(dims=1, center=(0.0, 0.0, 0.0), kappa=5.0, nodes=64)
+    @example(dims=2, center=(1.5, 2.5, 0.0), kappa=5.0, nodes=32)
     @settings(max_examples=40, deadline=None)
     def test_matches_mesh_reference(self, dims, center, kappa, nodes):
         angles = [c if axis < dims else 0.0 for axis, c in enumerate(center)]
         spec = TrembleSpec(StrategyParams(*angles, dims), kappa)
         grid = QuadratureGrid(nodes, dims)
-        got = side_tensor(StrategyDistribution.from_tremble(spec), grid)
-        assert np.abs(got - mesh_side_tensor(spec, grid)).max() <= 1e-12
+        got = side_moment(StrategyDistribution.from_tremble(spec), grid)
+        assert np.abs(got - mesh_side_moment(spec, grid)).max() <= 1e-12
 
     def test_sharp_three_dim_tremble_needs_no_mesh(self):
         # default_grid puts 2368 nodes on each axis here: a 1.3e10-node mesh.
         kappa = 1e5
         start = time.perf_counter()
-        tensor = side_tensor(trembled("C", kappa, dims=3))
+        moment = side_moment(trembled("C", kappa, dims=3))
         elapsed = time.perf_counter() - start
-        # E[cos^2(theta/2)] = (1 + I1/I0)/2; the Bessel backend is good to 1e-10.
+        # S00 + S11 = E[cos^2(theta/2)] = (1 + I1/I0)/2; the Bessel backend is good to 1e-10.
         r = bessel_i_scaled(1, kappa) / bessel_i_scaled(0, kappa)
-        assert tensor[0, 0, 0, 0].real == pytest.approx((1 + r) / 2, abs=1e-10)
+        assert moment[0, 0] + moment[1, 1] == pytest.approx((1 + r) / 2, abs=1e-10)
         assert elapsed < 0.5
 
 
@@ -130,6 +156,9 @@ class TestStrategyDistribution:
             StrategyDistribution.from_mixture([(-0.2, pure("C")), (1.2, pure("D"))])
         with pytest.raises(ValueError):
             StrategyDistribution.from_mixture([])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                StrategyDistribution.from_mixture([(bad, pure("C")), (0.5, pure("D"))])
 
     def test_no_nested_mixtures(self):
         mix = StrategyDistribution.from_mixture([(1.0, pure("C"))])
@@ -213,6 +242,24 @@ class TestDirectSummation:
         slow = smeared_payoff_direct(game, dist_a, dist_b, grid=nodes)
         assert fast[0] == pytest.approx(slow[0], abs=1e-10)
         assert fast[1] == pytest.approx(slow[1], abs=1e-10)
+
+    @given(data=st.data(), nodes=st.integers(8, 32))
+    @settings(max_examples=40, deadline=None)
+    def test_moments_equal_direct_off_axis(self, data, nodes):
+        # The direct sum holds every pair of mesh nodes at once, so the two
+        # sides share a budget of active dimensions: at most 2^15 node pairs
+        # per mixture component pair.
+        budget = int(15 // math.log2(nodes))
+        dims_a = data.draw(st.integers(1, min(3, budget)), label="dims_a")
+        dims_b = data.draw(st.integers(0, min(3, budget - dims_a)), label="dims_b")
+        game = GameSpec("random", np.reshape(data.draw(_payoff_table), (2, 2)),
+                        np.reshape(data.draw(_payoff_table), (2, 2)))
+        dist_a = data.draw(_distribution(dims_a, trembled=True), label="dist_a")
+        # A pure side is a single node, so it may use all three axes.
+        dist_b = data.draw(_distribution(dims_b or 3, trembled=dims_b > 0), label="dist_b")
+        fast = smeared_payoff(game, dist_a, dist_b, grid=nodes)
+        slow = smeared_payoff_direct(game, dist_a, dist_b, grid=nodes)
+        assert fast == pytest.approx(slow, abs=1e-10)
 
     def test_direct_handles_pure_sides(self):
         fast = smeared_payoff(PD, pure("Q"), trembled("C", 1.0), grid=16)

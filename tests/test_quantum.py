@@ -21,6 +21,7 @@ from qtremble import (
     su2,
     su2_angles,
 )
+from qtremble.quantum import _BELL_KETS, BELL_FORMS, BELL_ORDER, quaternion
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,6 +162,37 @@ class TestBellBasis:
         assert np.allclose(np.diag(rho), [0.5, 0, 0, 0.5], atol=1e-12)
         assert rho[0, 3] == pytest.approx(-0.5j, abs=1e-12)
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
+
+
+_any_angle = st.floats(-4 * math.pi, 4 * math.pi)
+
+
+class TestQuaternionForm:
+    def test_forms_are_signed_permutations(self):
+        for r in BELL_FORMS:
+            assert set(np.abs(r).ravel()) == {0.0, 1.0}
+            assert (np.abs(r).sum(axis=0) == 1).all() and (np.abs(r).sum(axis=1) == 1).all()
+
+    @given(st.tuples(_any_angle, _any_angle, _any_angle),
+           st.tuples(_any_angle, _any_angle, _any_angle))
+    @settings(deadline=None, max_examples=200)
+    def test_bell_amplitudes_are_quaternion_forms(self, angles_a, angles_b):
+        # <k|(U_A (x) U_B)|psi_0> = p^T R_k q, with sign +1 for every k under these kets.
+        pa, pb = StrategyParams(*angles_a), StrategyParams(*angles_b)
+        state = np.kron(su2(pa), su2(pb)) @ _BELL_KETS["CC"]
+        p, q = np.array(quaternion(pa)), np.array(quaternion(pb))
+        for k, r in zip(BELL_ORDER, BELL_FORMS):
+            assert abs(_BELL_KETS[k].conj() @ state - p @ r @ q) <= 1e-14
+
+    @pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
+    def test_payoff_is_sum_of_squared_forms(self, game):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            pa, pb = random_params(rng), random_params(rng)
+            p, q = np.array(quaternion(pa)), np.array(quaternion(pb))
+            probs = np.array([(p @ r @ q) ** 2 for r in BELL_FORMS])
+            got = (game.payoff_a.ravel() @ probs, game.payoff_b.ravel() @ probs)
+            assert got == pytest.approx(expected_payoff(game, su2(pa), su2(pb)), abs=1e-12)
 
 
 class TestFinalState:

@@ -1,7 +1,7 @@
 """The best-response search scores gates as the quaternion form q^T Q q.
 
-Each test rebuilds what the search used to compute from 2x2 gates
-(``kernel_payoff`` on ``su2``/``su2_angles``, ``gate_distances``) and checks
+Each test rebuilds what the search computes from 2x2 gates (payoffs from
+final states against the Bell projectors, ``gate_distances``) and checks
 that the quaternion path agrees with it.
 """
 
@@ -19,13 +19,16 @@ from qtremble import (
     TrembleSpec,
     best_response,
     builtin_game,
+    initial_state,
+    payoff_operators,
+    smeared_payoff_direct,
     strategy,
     su2,
     su2_angles,
 )
-from qtremble.integration import kernel_payoff, payoff_kernels
-from qtremble.quantum import gate_distances
-from qtremble.thp import _distances, _form, _form_value, _quaternion, _quaternions
+from qtremble.integration import payoff_forms, tremble_nodes
+from qtremble.quantum import form_value, gate_distances, quaternion, quaternions
+from qtremble.thp import _distances
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,26 +72,29 @@ def _game(draw):
 class TestQuaternionForm:
     @given(_game(), st.sampled_from(["A", "B"]), _opponent(), _params(), _params())
     @settings(deadline=None, max_examples=150)
-    def test_form_equals_kernel_payoff(self, game, responder, opponent, p, other):
-        for kernel in payoff_kernels(game, responder, opponent, 8):
-            form = _form(kernel)
+    def test_form_equals_direct_payoff(self, game, responder, opponent, p, other):
+        forms = payoff_forms(game, responder, opponent, 8)
+        rows = np.array([p.angles, other.angles])
+        want = []
+        for params in (p, other):
+            mover = StrategyDistribution.from_pure(params)
+            sides = (mover, opponent) if responder == "A" else (opponent, mover)
+            want.append(smeared_payoff_direct(game, *sides, grid=8))
+        for player, form in enumerate(forms):
             assert np.array_equal(form, form.T)
-            want = float(kernel_payoff(kernel, su2(p)))
-            assert abs(_form_value(form, _quaternion(p)) - want) <= 1e-12
+            assert abs(form_value(form, quaternion(p)) - want[0][player]) <= 1e-12
             # The grid path scores stacks of nodes with the same arithmetic.
-            rows = np.array([p.angles, other.angles])
-            stack = _form_value(form, _quaternions(rows))
-            batch = kernel_payoff(kernel, su2_angles(rows[:, 0], rows[:, 1], rows[:, 2]))
-            assert np.abs(stack - batch).max() <= 1e-12
+            stack = form_value(form, quaternions(rows))
+            assert np.abs(stack - [w[player] for w in want]).max() <= 1e-12
 
     @given(_params())
     @settings(deadline=None, max_examples=100)
     def test_quaternion_spans_the_gate(self, p):
         basis = np.array([np.eye(2), np.diag([1j, -1j]), [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
-        q = _quaternion(p)
+        q = quaternion(p)
         assert abs(math.fsum(x * x for x in q) - 1.0) <= 1e-15
         assert np.abs(np.tensordot(q, basis, axes=1) - su2(p)).max() <= 1e-15
-        assert np.abs(_quaternions(np.array([p.angles]))[:, 0] - q).max() <= 1e-16
+        assert np.abs(quaternions(np.array([p.angles]))[:, 0] - q).max() <= 1e-16
 
 
 class TestQuaternionDistance:
@@ -102,15 +108,15 @@ class TestQuaternionDistance:
     def test_matches_gate_distances(self, p, q):
         gates = su2_angles(*np.array([p.angles, q.angles]).T)
         want = gate_distances(gates, su2(q))
-        got = _distances(_quaternions(np.array([p.angles, q.angles])), _quaternion(q))
+        got = _distances(quaternions(np.array([p.angles, q.angles])), quaternion(q))
         assert np.abs(got - want).max() <= 1e-12
-        assert abs(float(_distances(_quaternion(p), _quaternion(q))) - want[0]) <= 1e-12
+        assert abs(float(_distances(quaternion(p), quaternion(q))) - want[0]) <= 1e-12
 
     def test_orthogonal_gates_keep_unit_phase(self):
         # p.q ~ 6e-17 for C against D and Q: both paths skip the phase alignment.
-        c = _quaternion(strategy("C"))
+        c = quaternion(strategy("C"))
         for name, want in (("D", 1.0), ("Q", math.sqrt(2.0))):
-            q = _quaternion(strategy(name))
+            q = quaternion(strategy(name))
             assert abs(2.0 * np.dot(c, q)) <= 1e-12
             assert float(_distances(q, c)) == pytest.approx(want, abs=1e-15)
 
@@ -124,6 +130,23 @@ def _reference_nodes(dims, nodes):
 
 
 _SEARCH_NODES = {1: 64, 2: 64, 3: 32}
+
+
+def _gate_values(game, opponent, angles):
+    """Bob's payoff for each gate of ``angles`` from final states against the projectors.
+
+    Alice's side is averaged into the state (A (x) I) rho (A (x) I)^dagger over
+    her nodes before Bob's gates act on it.
+    """
+    if opponent.kind == "pure":
+        nodes, weights = np.array([opponent.pure.angles]), np.ones(1)
+    else:
+        nodes, weights = tremble_nodes(opponent.tremble)
+    lift = np.kron(su2_angles(*nodes.T), np.eye(2))
+    state = np.einsum("n,nij,jk,nlk->il", weights, lift, initial_state(), lift.conj())
+    joint = np.kron(np.eye(2), su2_angles(*angles.T))
+    final = joint @ state @ joint.conj().transpose(0, 2, 1)
+    return np.einsum("ij,nji->n", payoff_operators(game)[1], final).real
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3])
@@ -143,9 +166,8 @@ def test_grid_argmax_matches_gate_values(kind, game, name, dims):
     else:
         opponent = StrategyDistribution.from_tremble(TrembleSpec(strategy(name, 2), 1.0))
     spec = builtin_game(game)
-    kernel = payoff_kernels(spec, "B", opponent)[1]
     angles = _reference_nodes(dims, _SEARCH_NODES[dims])
-    values = kernel_payoff(kernel, su2_angles(angles[:, 0], angles[:, 1], angles[:, 2]))
+    values = _gate_values(spec, opponent, angles)
     top = int(np.argmax(values))
     tied = np.flatnonzero(values >= values[top] - 1e-12)
 

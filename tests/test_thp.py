@@ -18,11 +18,11 @@ from qtremble import (
     gate_distance,
     strategy,
     su2,
-    su2_angles,
     thp_scan,
     threshold_search,
 )
-from qtremble.integration import kernel_payoff, payoff_kernels
+from qtremble.integration import payoff_forms
+from qtremble.quantum import form_value, quaternions
 
 PD = builtin_game("PD")
 EG = builtin_game("EG")
@@ -69,12 +69,12 @@ class TestBestResponse:
     def test_value_dominates_random_probes(self):
         opponent = trembled("D", 2.0)
         br = best_response(EG, "B", opponent, dims=2)
-        _, kernel = payoff_kernels(EG, "B", opponent)
+        _, form = payoff_forms(EG, "B", opponent)
         rng = np.random.default_rng(23)
-        gates = su2_angles(rng.uniform(-math.pi, math.pi, 1000),
+        angles = np.stack([rng.uniform(-math.pi, math.pi, 1000),
                            rng.uniform(0, 2 * math.pi, 1000),
-                           np.zeros(1000))
-        probes = kernel_payoff(kernel, gates)
+                           np.zeros(1000)], axis=1)
+        probes = form_value(form, quaternions(angles))
         assert br.value >= probes.max() - 1e-9
 
     def test_refinement_beats_grid_resolution(self):
