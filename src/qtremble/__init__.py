@@ -3,13 +3,9 @@
 from .distributions import (
     TrembleSpec,
     bessel_i,
-    sample_torus,
     sample_torus_angles,
     sample_vm,
-    torus_vm_density,
     vm_density,
-    vm_normalization,
-    vmf_density,
 )
 from .games import (
     GameSpec,

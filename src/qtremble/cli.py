@@ -155,7 +155,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     surface = payoff_surface(game, args.vary, args.dims, opponent,
                              grid_nodes=args.nodes, quad_grid=args.quad_nodes)
     if args.self_check:
-        # Probe one representative configuration at doubled quadrature.
+        # Probe one representative configuration against the self-check quadrature.
         mid = StrategyDistribution.from_pure(
             StrategyParams(0.0, 0.0, 0.0, args.dims))
         varying_first = (mid, opponent) if args.vary == "A" else (opponent, mid)
@@ -301,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_surface.add_argument("--nodes", type=int, default=65,
                            help="plot nodes per axis, endpoints included")
     p_surface.add_argument("--quad-nodes", type=int, default=None,
-                           help="override quadrature nodes per tremble dimension")
+                           help="midpoint nodes per tremble dimension, not the closed form")
     p_surface.add_argument("--self-check", action="store_true",
-                           help="recompute at doubled quadrature and fail on drift > 1e-6")
+                           help="recompute trembles by quadrature (twice --quad-nodes, or a "
+                                "converged default) and fail on drift > 1e-6")
 
     p_thp = sub.add_parser("thp", help="tremble one side of a profile and scan kappa")
     common(p_thp)

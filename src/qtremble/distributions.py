@@ -1,4 +1,9 @@
-"""Tremble densities: von Mises on circles and tori, von Mises-Fisher on spheres.
+"""Von Mises trembles: densities, moments and samples on the strategy torus.
+
+A tremble moves each active angle of its centre by an independent von Mises
+offset on the window (-pi, pi] centred there.  The gate is 4*pi-periodic in
+alpha and beta, so the window is part of the distribution: the closed-form
+moments, the quadrature and the Monte Carlo draws all use this one.
 
 The modified Bessel function backend is implemented here (power series below
 x = 15, scaled asymptotic expansion above) so results do not depend on any
@@ -19,6 +24,9 @@ from .quantum import TWO_PI, StrategyParams
 _SERIES_CUTOFF = 15.0
 # exp(x) overflows an IEEE double shortly above this.
 _OVERFLOW_X = 700.0
+# Above this concentration ``vm_moments`` takes its large-kappa series, whose
+# dropped terms (1/(8 kappa^2) and smaller) are below a rounding error here.
+_MOMENT_SERIES_KAPPA = 1e8
 
 
 def bessel_i(nu, x: float) -> float:
@@ -87,13 +95,6 @@ def _bessel_i_asymptotic_scaled(nu: float, x: float) -> float:
     return total / math.sqrt(TWO_PI * x)
 
 
-def vm_normalization(kappa: float) -> float:
-    """Circle normalization 1 / (2*pi*I_0(kappa)); equals 1/(2*pi) at kappa = 0."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    return 1.0 / (TWO_PI * bessel_i(0, kappa))
-
-
 def vm_density(theta, theta0: float, kappa: float):
     """von Mises density on the circle; vectorized over ``theta``.
 
@@ -111,6 +112,24 @@ def vm_density(theta, theta0: float, kappa: float):
     return out if out.ndim else float(out)
 
 
+def vm_moments(kappa: float) -> tuple[float, float]:
+    """(m1, m_h) = (E[cos phi], E[cos(phi/2)]) for phi ~ vM(0, kappa) on (-pi, pi].
+
+    m1 = I_1/I_0 and m_h = erf(sqrt(2 kappa)) / (sqrt(2 pi kappa) exp(-kappa) I_0)
+    (Mardia & Jupp, Directional Statistics, 3.5); m_h tends to 2/pi as kappa
+    goes to 0.  Above ``_MOMENT_SERIES_KAPPA`` both come from their series
+    1 - 1/(2 kappa) and 1 - 1/(8 kappa), so every finite kappa gives finite
+    moments.
+    """
+    if kappa == 0.0:
+        return 0.0, 2.0 / math.pi
+    if kappa > _MOMENT_SERIES_KAPPA:
+        return 1.0 - 0.5 / kappa, 1.0 - 0.125 / kappa
+    i0 = bessel_i_scaled(0, kappa)
+    return (bessel_i_scaled(1, kappa) / i0,
+            math.erf(math.sqrt(2.0 * kappa)) / (math.sqrt(TWO_PI * kappa) * i0))
+
+
 @dataclass(frozen=True)
 class TrembleSpec:
     """A tremble: von Mises product distribution centered on a pure strategy.
@@ -118,7 +137,8 @@ class TrembleSpec:
     ``center`` is the intended strategy, ``kappa`` the common concentration of
     the per-coordinate von Mises factors, and ``dims`` (matching
     ``center.dims``) how many torus coordinates actually tremble; inactive
-    coordinates stay pinned at zero.
+    coordinates stay pinned at zero.  An active angle is its raw centre plus
+    an offset on the centred window (-pi, pi] (``angles``).
     """
 
     center: StrategyParams
@@ -136,55 +156,19 @@ class TrembleSpec:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "kappa", float(self.kappa))
 
+    def angles(self, offsets: np.ndarray) -> np.ndarray:
+        """(n, 3) angle rows: the centre plus (n, dims) window offsets, inactive angles 0."""
+        out = np.zeros((len(offsets), 3))
+        out[:, : self.dims] = np.asarray(self.center.active) + offsets
+        return out
+
 
 def torus_density_angles(angles: np.ndarray, spec: TrembleSpec) -> np.ndarray:
     """Density of ``spec`` at angle rows (..., dims) over its active torus."""
     angles = np.asarray(angles, dtype=float)
     if angles.shape[-1] != spec.dims:
         raise ValueError(f"expected {spec.dims} angle column(s), got {angles.shape[-1]}")
-    if spec.kappa == 0.0:
-        return np.full(angles.shape[:-1], (1.0 / TWO_PI) ** spec.dims)
-    center = np.array(spec.center.angles[: spec.dims])
-    scaled_norm = (TWO_PI * bessel_i_scaled(0, spec.kappa)) ** spec.dims
-    exponent = spec.kappa * (np.cos(angles - center) - 1.0).sum(axis=-1)
-    return np.exp(exponent) / scaled_norm
-
-
-def torus_vm_density(point: StrategyParams, spec: TrembleSpec) -> float:
-    """Product von Mises density at a torus point with matching active dims."""
-    if point.dims != spec.dims:
-        raise ValueError(f"point has dims {point.dims}, tremble has dims {spec.dims}")
-    return float(torus_density_angles(np.array(point.active), spec))
-
-
-def sphere_surface_area(p: int) -> float:
-    """Surface area of the unit sphere S^(p-1) embedded in R^p."""
-    return 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
-
-
-def vmf_density(x: np.ndarray, x0: np.ndarray, kappa: float, p: int) -> float:
-    """von Mises-Fisher density on S^(p-1) with respect to the surface measure.
-
-    ``x`` and ``x0`` are unit vectors in R^p; ``x0`` points at the mode.  The
-    normalization is kappa^(p/2-1) / ((2*pi)^(p/2) * I_(p/2-1)(kappa)), and the
-    kappa = 0 case is handled analytically as the uniform density.
-    """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if x.shape != (p,) or x0.shape != (p,):
-        raise ValueError(f"directions must be vectors of length p = {p}")
-    for vec, name in ((x, "x"), (x0, "x0")):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-            raise ValueError(f"{name} is not a unit vector")
-    if kappa == 0.0:
-        return 1.0 / sphere_surface_area(p)
-    order = p / 2.0 - 1.0
-    norm = kappa**order / ((TWO_PI) ** (p / 2.0) * bessel_i(order, kappa))
-    return float(norm * math.exp(kappa * float(x @ x0)))
+    return np.prod(vm_density(angles, np.array(spec.center.active), spec.kappa), axis=-1)
 
 
 def sample_vm(rng: np.random.Generator, theta0: float, kappa: float, size=None):
@@ -236,17 +220,9 @@ def _best_fisher(rng: np.random.Generator, theta0: float, kappa: float, n: int) 
 def sample_torus_angles(rng: np.random.Generator, spec: TrembleSpec, n: int) -> np.ndarray:
     """Draw ``n`` torus points from a tremble as an (n, 3) angle array.
 
-    Active coordinates are independent von Mises draws around the center
+    Active coordinates are the centre plus independent von Mises offsets
     (drawn theta first, then alpha, then beta, so streams replay exactly for a
-    fixed seed); inactive coordinates are zero.
+    fixed seed), not wrapped; inactive coordinates are zero.
     """
-    out = np.zeros((n, 3))
-    for axis in range(spec.dims):
-        out[:, axis] = sample_vm(rng, spec.center.angles[axis], spec.kappa, size=n)
-    return out
-
-
-def sample_torus(rng: np.random.Generator, spec: TrembleSpec) -> StrategyParams:
-    """Draw one strategy from a tremble distribution."""
-    theta, alpha, beta = sample_torus_angles(rng, spec, 1)[0]
-    return StrategyParams(theta, alpha, beta, spec.dims)
+    offsets = [sample_vm(rng, 0.0, spec.kappa, size=n) for _ in range(spec.dims)]
+    return spec.angles(np.stack(offsets, axis=1))

@@ -12,6 +12,8 @@ PAYOFF_TIE_TOL = 1e-9
 # Largest strategy mesh (plot or best-response search), counted over all axes;
 # larger requests are refused before anything is allocated.
 MAX_MESH_NODES = 2**20
+# Largest payoff magnitude: sums of a few payoffs, and so every answer, stay finite.
+MAX_PAYOFF = 1e300
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +33,9 @@ class GameSpec:
         b = np.asarray(self.payoff_b, dtype=float)
         if a.shape != (2, 2) or b.shape != (2, 2):
             raise ValueError("payoff matrices must be 2x2")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("payoff entries must be finite")
+        if not (np.abs([a, b]) <= MAX_PAYOFF).all():
+            raise ValueError(f"payoff entries must be finite and at most {MAX_PAYOFF:g} "
+                             f"in magnitude")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "payoff_a", a)

@@ -4,12 +4,10 @@ A side enters every payoff only through the real symmetric moment
 S = E[q q^T] of its gate quaternion q (``quantum.quaternion``): the payoffs are
 sum_k a_k tr(R_k^T S_A R_k S_B) with ``quantum.BELL_FORMS`` R_k, and against a
 fixed opponent a player's payoff is a form q^T Q q in their own quaternion.
-Tremble integrals use the periodic trapezoidal rule.  Each quaternion entry
-and the von Mises density factor over the torus axes, so S is the entrywise
-product of one 4x4 moment per axis: a side costs O(d*N) for N nodes per axis,
-not O(N^d).  The rule is spectrally accurate along theta and at the C, D and Q
-centres; off those axes the fixed alpha/beta window [0, 2*pi) cuts the
-4*pi-periodic gate at a seam and converges only at first order.
+A tremble's S is the entrywise product of one 3x3 moment E[g g^T] per axis,
+g = (cos(x/2), sin(x/2), 1); on the centred window of ``TrembleSpec`` it needs
+only the raw centre and ``vm_moments(kappa)``, so it costs the same at every
+kappa.  An explicit grid uses the midpoint rule on that window instead.
 ``smeared_payoff_direct`` (a double sum over the node mesh) and
 ``smeared_payoff_mc`` (Monte Carlo) are independent references on SU(2) gates.
 """
@@ -17,11 +15,12 @@ centres; off those axes the fixed alpha/beta window [0, 2*pi) cuts the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import TrembleSpec, sample_torus_angles, torus_density_angles, vm_density
+from .distributions import (TrembleSpec, sample_torus_angles, torus_density_angles, vm_density,
+                            vm_moments)
 from .games import GameSpec, Surface, surface_axes
 from .quantum import (BELL_FORMS, TWO_PI, StrategyParams, form_value, initial_state,
                       payoff_operators, quaternion, quaternions, su2, su2_angles)
@@ -32,18 +31,27 @@ MIN_NODES_PER_AXIS = 8
 # Largest quadrature grid accepted per torus axis; larger requests are refused
 # before anything is allocated.
 MAX_NODES_PER_AXIS = 2**20
+# ``default_grid`` takes Gauss-Legendre nodes, built from an N x N eigenproblem,
+# only up to this kappa, so at most 88 per axis; no grid takes more than 1024.
+_LEGENDRE_KAPPA = 50.0
+_MAX_LEGENDRE_NODES = 1024
 
 
 class GridResolutionError(RuntimeError):
-    """Raised in self-check mode when doubling the grid moves the result."""
+    """Raised in self-check mode when recomputing by quadrature moves the result."""
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Uniform periodic grid on the active torus: spacing 2*pi/N, equal weights."""
+    """Tensor quadrature on a tremble's centred window, as offsets from its centre.
+
+    Each axis has N midpoint nodes -pi + (k + 1/2) * 2*pi/N of weight 2*pi/N;
+    ``legendre`` (the oracle default) puts Gauss-Legendre nodes on alpha and beta.
+    """
 
     nodes_per_dim: int
     dims: int
+    legendre: bool = False
 
     def __post_init__(self):
         if self.nodes_per_dim < MIN_NODES_PER_AXIS:
@@ -53,46 +61,42 @@ class QuadratureGrid:
                              f"the limit of {MAX_NODES_PER_AXIS}")
         if self.dims not in (1, 2, 3):
             raise ValueError("dims must be 1, 2 or 3")
+        if self.legendre and self.nodes_per_dim > _MAX_LEGENDRE_NODES:
+            raise ValueError(f"Gauss-Legendre grids take at most {_MAX_LEGENDRE_NODES} nodes")
 
-    @property
-    def spacing(self) -> float:
-        return TWO_PI / self.nodes_per_dim
+    def axis(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets in (-pi, pi) and weights of one axis (0 theta, 1 alpha, 2 beta)."""
+        n = self.nodes_per_dim
+        if self.legendre and axis > 0:
+            x, w = np.polynomial.legendre.leggauss(n)
+            return math.pi * x, math.pi * w
+        step = TWO_PI / n
+        return -math.pi + step * (np.arange(n) + 0.5), np.full(n, step)
 
-    @property
-    def weight(self) -> float:
-        """Quadrature weight shared by every node, (2*pi/N)^dims."""
-        return self.spacing**self.dims
-
-    def axes(self) -> list[np.ndarray]:
-        """Per-dimension node angles; theta starts at -pi, alpha/beta at 0."""
-        steps = self.spacing * np.arange(self.nodes_per_dim)
-        axes = [-math.pi + steps, steps, steps]
-        return axes[: self.dims]
-
-    def node_angles(self) -> np.ndarray:
-        """All grid nodes as (N^dims, 3) angle rows, inactive angles zero."""
-        mesh = np.meshgrid(*self.axes(), *[[0.0]] * (3 - self.dims), indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-    def doubled(self) -> "QuadratureGrid":
-        return QuadratureGrid(2 * self.nodes_per_dim, self.dims)
+    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """All N^dims offset rows (n, dims) and their product weights (n,)."""
+        rules = [self.axis(axis) for axis in range(self.dims)]
+        offsets = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+        weights = np.meshgrid(*(w for _, w in rules), indexing="ij")
+        return (np.stack([x.reshape(-1) for x in offsets], axis=1),
+                np.prod([w.reshape(-1) for w in weights], axis=0))
 
 
 def default_grid(dims: int, kappa: float) -> QuadratureGrid:
-    """Grid dense enough for the concentration at hand.
+    """Converged quadrature of the oracle and of the closed-form self-check.
 
-    The trapezoidal error for exp(kappa*cos) decays like exp(-N^2/(2*kappa)),
-    so N ~ sqrt(56*kappa) keeps it near 1e-12; below that the base resolution
-    (64 nodes, 48 for three dimensions) dominates.
+    64 nodes per axis (48 in 3-D), or ~sqrt(150*kappa) for sharper peaks;
+    Gauss-Legendre on alpha/beta up to ``_LEGENDRE_KAPPA``, past which the
+    density at the window edge is below e^-100 and midpoint nodes are spectral.
     """
     base = 64 if dims <= 2 else 48
     if kappa > 0:
-        need = math.sqrt(56.0 * kappa)
+        need = math.sqrt(150.0 * kappa)
         if not need <= MAX_NODES_PER_AXIS:
             raise ValueError(f"kappa={kappa:g} needs quadrature nodes per dimension that "
                              f"exceed the limit of {MAX_NODES_PER_AXIS}")
         base = max(base, math.ceil(need / 8.0) * 8)
-    return QuadratureGrid(base, dims)
+    return QuadratureGrid(base, dims, legendre=kappa <= _LEGENDRE_KAPPA)
 
 
 @dataclass(frozen=True)
@@ -153,49 +157,72 @@ def _resolve_grid(spec: TrembleSpec, grid) -> QuadratureGrid:
     if isinstance(grid, int):
         return QuadratureGrid(grid, spec.dims)
     if isinstance(grid, QuadratureGrid):
-        if grid.dims == spec.dims:
-            return grid
-        return QuadratureGrid(grid.nodes_per_dim, spec.dims)
+        return replace(grid, dims=spec.dims)
     raise TypeError("grid must be None, an int node count, or a QuadratureGrid")
 
 
 def tremble_nodes(spec: TrembleSpec, grid=None) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes (n, 3 angles) and weights (n,) of a tremble's full N^d mesh.
 
-    Only the reference ``smeared_payoff_direct`` sums over this mesh.
+    ``grid`` None takes the converged ``default_grid``.  Only the reference
+    ``smeared_payoff_direct`` sums over this mesh.
     """
-    grid = _resolve_grid(spec, grid)
-    angles = grid.node_angles()
-    dens = torus_density_angles(angles[:, : spec.dims], spec)
-    return angles, dens * grid.weight
+    offsets, weights = _resolve_grid(spec, grid).mesh()
+    angles = spec.angles(offsets)
+    return angles, weights * torus_density_angles(angles[:, : spec.dims], spec)
+
+
+# Quaternion entries drawn from each axis's g = (cos(x/2), sin(x/2), 1): q is the
+# entrywise product of g_theta[0, 0, 1, 1], g_alpha[0, 1, 2, 2] and g_beta[2, 2, 0, 1].
+_AXIS_INDEX = ((0, 0, 1, 1), (0, 1, 2, 2), (2, 2, 0, 1))
+
+
+def _closed_moment(mu: float, m1: float, m_h: float) -> np.ndarray:
+    """E[g g^T] of x = mu + phi for an offset phi with moments (m1, m_h)."""
+    cos_mu, sin_mu = math.cos(mu), math.sin(mu)
+    half_c, half_s = m_h * math.cos(mu / 2.0), m_h * math.sin(mu / 2.0)
+    return np.array([[(1.0 + m1 * cos_mu) / 2.0, m1 * sin_mu / 2.0, half_c],
+                     [m1 * sin_mu / 2.0, (1.0 - m1 * cos_mu) / 2.0, half_s],
+                     [half_c, half_s, 1.0]])
+
+
+def _quadrature_moment(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """E[g g^T] summed over the nodes ``x`` of one axis with their weights."""
+    g = np.array([np.cos(x / 2.0), np.sin(x / 2.0), np.ones_like(x)])
+    return (weights * g) @ g.T
 
 
 def side_moment(dist: StrategyDistribution, grid=None) -> np.ndarray:
     """A side's second moment S = E[q q^T] of its gate quaternion q.
 
     A pure side gives q q^T, a mixture the weighted sum of its components, and
-    a tremble the entrywise product over the three axes of sum_n w_n f f^T at
-    its nodes x_n, where q is the entrywise product of the half-angle factors
-    f_theta = (c, c, s, s), f_alpha = (c, s, 1, 1) and f_beta = (1, 1, c, s).
-    An inactive axis contributes f(0) f(0)^T.
+    a tremble the entrywise product of its per-axis moments E[g g^T], expanded
+    by ``_AXIS_INDEX``: in closed form when ``grid`` is None, otherwise by the
+    midpoint rule of that grid on the centred window.
     """
     if dist.kind == "pure":
         q = np.array(quaternion(dist.pure))
         return np.outer(q, q)
     if dist.kind == "trembled":
         spec = dist.tremble
-        grid = _resolve_grid(spec, grid)
-        axes = grid.axes()
+        if grid is None:
+            pair = vm_moments(spec.kappa)
+            moments = [_closed_moment(mu, *pair) for mu in spec.center.active]
+        else:
+            grid = _resolve_grid(spec, grid)
+            rules = [grid.axis(axis) for axis in range(spec.dims)]
+            angles = spec.angles(np.stack([offsets for offsets, _ in rules], axis=1))
+            moments = [_quadrature_moment(angles[:, axis], w * vm_density(x, 0.0, spec.kappa))
+                       for axis, (x, w) in enumerate(rules)]
+        # An inactive angle sits at 0: the closed form with m1 = m_h = 1.
+        moments += [_closed_moment(0.0, 1.0, 1.0)] * (3 - spec.dims)
         moment = np.ones((4, 4))
-        for axis in range(3):
-            if axis < spec.dims:
-                nodes = axes[axis]
-                weights = vm_density(nodes, spec.center.active[axis], spec.kappa) * grid.spacing
-            else:  # an inactive angle sits at 0
-                nodes, weights = np.zeros(1), np.ones(1)
-            c, s, one = np.cos(nodes / 2.0), np.sin(nodes / 2.0), np.ones_like(nodes)
-            factor = np.array([(c, c, s, s), (c, s, one, one), (one, one, c, s)][axis])
-            moment *= (weights * factor) @ factor.T
+        for index, axis_moment in zip(_AXIS_INDEX, moments):
+            moment *= axis_moment[np.ix_(index, index)]
+        # tr S is the total weight, about 1; a grid far too coarse for kappa loses it.
+        if grid is not None and not 0.0 < np.trace(moment) < math.inf:
+            raise ValueError(f"{grid.nodes_per_dim} quadrature nodes per dimension cannot "
+                             f"integrate kappa={spec.kappa:g}")
         return moment
     return sum(w * side_moment(comp, grid) for w, comp in dist.mixture)
 
@@ -234,31 +261,34 @@ def smeared_payoff(game: GameSpec, dist_a: StrategyDistribution, dist_b: Strateg
                    grid=None, self_check: bool = False) -> tuple[float, float]:
     """Both players' expected payoffs under independently distributed strategies.
 
-    Pure sides collapse to point evaluation; trembled sides are integrated on
-    a periodic trapezoidal grid (``grid``: node count, QuadratureGrid, or None
-    for a concentration-aware default); a mixture side is mixed linearly in
-    its moment.  With ``self_check`` the result is recomputed with every
-    trembled side or component at doubled resolution and a
-    GridResolutionError is raised when the two disagree by more than 1e-6.
+    Pure sides collapse to point evaluation; trembled sides are integrated in
+    closed form, or by the midpoint rule of ``grid`` (node count or
+    QuadratureGrid) when one is given; a mixture side is mixed linearly in its
+    moment.  With ``self_check`` every trembled side or component is
+    recomputed by quadrature (twice ``grid``, or the converged
+    ``default_grid`` when ``grid`` is None) and a GridResolutionError is
+    raised when the two disagree by more than 1e-6.
     """
     pay = _payoffs(game, side_moment(dist_a, grid), side_moment(dist_b, grid))
     if self_check:
-        pay2 = _payoffs(game, _doubled_side_moment(dist_a, grid),
-                        _doubled_side_moment(dist_b, grid))
+        pay2 = _payoffs(game, _check_moment(dist_a, grid), _check_moment(dist_b, grid))
         drift = max(abs(pay[0] - pay2[0]), abs(pay[1] - pay2[1]))
         if drift > 1e-6:
             raise GridResolutionError(
-                f"doubling the quadrature grid moved the payoff by {drift:.3e} (> 1e-06)"
-            )
+                f"recomputing the tremble by quadrature moved the payoff by {drift:.3e} "
+                f"(> 1e-06)")
     return pay
 
 
-def _doubled_side_moment(dist: StrategyDistribution, grid) -> np.ndarray:
-    """``side_moment`` with every trembled component on twice its resolved grid."""
+def _check_moment(dist: StrategyDistribution, grid) -> np.ndarray:
+    """``side_moment`` with every trembled component on the self-check quadrature."""
     if dist.kind == "trembled":
-        return side_moment(dist, _resolve_grid(dist.tremble, grid).doubled())
+        check = _resolve_grid(dist.tremble, grid)
+        if grid is not None:
+            check = replace(check, nodes_per_dim=2 * check.nodes_per_dim)
+        return side_moment(dist, check)
     if dist.kind == "mixture":
-        return sum(w * _doubled_side_moment(comp, grid) for w, comp in dist.mixture)
+        return sum(w * _check_moment(comp, grid) for w, comp in dist.mixture)
     return side_moment(dist, grid)
 
 
@@ -283,11 +313,11 @@ def payoff_surface(game: GameSpec, varying: str, dims: int, opponent: StrategyDi
 
 def smeared_payoff_direct(game: GameSpec, dist_a: StrategyDistribution,
                           dist_b: StrategyDistribution, grid=None) -> tuple[float, float]:
-    """Reference evaluation by explicit double summation over both grids.
+    """Reference evaluation by explicit double summation over both node meshes.
 
-    Exponentially slower than ``smeared_payoff`` but structurally independent
-    of the quaternion moments: it sums final states of SU(2) gates; kept for
-    validation.
+    ``grid`` None takes the converged ``default_grid``.  Exponentially slower
+    than ``smeared_payoff`` but structurally independent of the quaternion
+    moments: it sums final states of SU(2) gates; kept for validation.
     """
     nodes_a, weights_a = _side_nodes(dist_a, grid)
     nodes_b, weights_b = _side_nodes(dist_b, grid)

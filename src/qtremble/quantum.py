@@ -29,10 +29,8 @@ from .games import GameSpec
 
 TWO_PI = 2.0 * math.pi
 
-# Tolerance ladder: construction invariants, caller-input gates, eigenvalue floor.
-CONSTRUCTION_TOL = 1e-12
+# Unitarity defect above which a caller's gate counts as corrupt.
 VALIDATION_TOL = 1e-9
-PSD_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,11 @@ class StrategyParams:
 
     ``dims`` counts the active parameters: 1 keeps only theta, 2 adds alpha,
     3 all three.  Angles must be finite and inactive angles zero.  Angles are
-    canonicalized on construction: theta into [-pi, pi] (both endpoints
-    representable), alpha and beta into [0, 2*pi).
+    canonicalized on construction, keeping the gate up to sign: alpha and beta
+    into [0, 2*pi), with theta negated when the two took an odd number of
+    2*pi wraps in all (U(theta, alpha + 2*pi, beta) = -U(-theta, alpha, beta),
+    and likewise for beta), then theta into [-pi, pi] (both endpoints
+    representable).
     """
 
     theta: float
@@ -56,9 +57,10 @@ class StrategyParams:
         if not all(math.isfinite(float(x)) for x in (self.theta, self.alpha, self.beta)):
             raise ValueError(
                 f"angles must be finite, got ({self.theta!r}, {self.alpha!r}, {self.beta!r})")
-        theta = math.remainder(float(self.theta), TWO_PI)
-        alpha = _wrap_positive(float(self.alpha))
-        beta = _wrap_positive(float(self.beta))
+        alpha, odd_alpha = _wrap_phase(float(self.alpha))
+        beta, odd_beta = _wrap_phase(float(self.beta))
+        theta = -float(self.theta) if odd_alpha != odd_beta else float(self.theta)
+        theta = math.remainder(theta, TWO_PI)
         if self.dims < 3 and beta != 0.0:
             raise ValueError("beta must be 0 when dims < 3")
         if self.dims < 2 and alpha != 0.0:
@@ -80,12 +82,14 @@ class StrategyParams:
         return StrategyParams(self.theta, self.alpha, self.beta, dims)
 
 
-def _wrap_positive(angle: float) -> float:
-    wrapped = angle % TWO_PI
+def _wrap_phase(angle: float) -> tuple[float, bool]:
+    """``angle`` wrapped into [0, 2*pi), and whether that took an odd number of 2*pi wraps."""
+    wrapped = angle % (2.0 * TWO_PI)
     # float modulo can round up to the period itself for tiny negative inputs
-    if wrapped >= TWO_PI:
+    if wrapped >= 2.0 * TWO_PI:
         wrapped = 0.0
-    return wrapped
+    odd = wrapped >= TWO_PI
+    return (wrapped - TWO_PI if odd else wrapped), odd
 
 
 def strategy(name: str, dims: int = 3) -> StrategyParams:
@@ -196,23 +200,6 @@ def check_unitary(gate: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
     if defect > tol:
         raise ValueError(f"gate is not unitary (defect {defect:.3e} > {tol:.1e})")
     return gate
-
-
-def check_density_matrix(rho: np.ndarray,
-                         herm_tol: float = CONSTRUCTION_TOL,
-                         trace_tol: float = CONSTRUCTION_TOL,
-                         eig_floor: float = PSD_FLOOR) -> np.ndarray:
-    """Validate a 4x4 density matrix (Hermitian, unit trace, PSD)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
-        raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
-        raise ValueError("state does not have unit trace")
-    if np.linalg.eigvalsh(rho).min() < eig_floor:
-        raise ValueError("state is not positive semidefinite")
-    return rho
 
 
 def final_state(gate_a: np.ndarray, gate_b: np.ndarray) -> np.ndarray:

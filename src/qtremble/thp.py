@@ -296,8 +296,8 @@ def threshold_search(game: GameSpec, profile: tuple[StrategyParams, StrategyPara
     """
     if not (0 < kappa_lo < kappa_hi):
         raise ValueError("need 0 < kappa_lo < kappa_hi")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     verdicts = _Verdicts(game, profile, tremble_dims, response_dims, grid_nodes,
                          quad_grid, both_sides)
 

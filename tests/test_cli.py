@@ -1,5 +1,7 @@
 """Command-line interface: output schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtremble.cli import main
 
@@ -213,11 +217,29 @@ class TestErrorHandling:
         assert "quadrature nodes" in capsys.readouterr().err
 
     def test_oversized_default_grid(self, tmp_path, capsys):
-        # default_grid would need about 2.4e7 nodes per axis at this kappa.
+        # The closed form answers at any kappa; only the self-check needs the
+        # quadrature default, which would take about 3.9e7 nodes per axis here.
+        out = tmp_path / "x.csv"
         rc = run_main("thp", "--game", "SH", "--profile", "C:C", "--kappa", "1e13",
-                      "--out", str(tmp_path / "x.csv"))
+                      "--out", str(out))
+        assert rc == 0
+        assert out.read_text().splitlines()[1].startswith("10000000000000,true,")
+        rc = run_main("surface", "--game", "SH", "--vary", "B", "--dims", "2",
+                      "--opponent", "tremble:C,kappa=1e13", "--nodes", "9", "--self-check",
+                      "--out", str(tmp_path / "y.csv"))
         assert rc == 2
         assert "quadrature nodes" in capsys.readouterr().err
+        assert not (tmp_path / "y.csv").exists()
+
+    def test_largest_payoffs_answer_finite(self, tmp_path):
+        game = tmp_path / "big.json"
+        game.write_text(json.dumps({"name": "big", "a": [[1e300, -1e300], [1e300, 1e300]],
+                                    "b": [[1e300, 0], [-1e300, 1e300]]}))
+        out = tmp_path / "x.json"
+        rc = run_main("thp", "--game", str(game), "--profile", "C:C", "--kappa", "1,5",
+                      "--both-sides", "--format", "json", "--out", str(out))
+        assert rc == 0
+        json.loads(out.read_text(), parse_constant=_reject_constant)
 
     def test_bad_mixture_weights(self, tmp_path):
         rc = run_main("surface", "--game", "EG", "--vary", "B", "--dims", "1",
@@ -241,12 +263,32 @@ class TestErrorHandling:
         assert rc == 2
         assert "object" in capsys.readouterr().err
 
-    def test_sharp_kappa_without_a_grid(self, tmp_path, capsys):
-        # sqrt(56 * 1e308) overflows to inf nodes per axis.
-        rc = run_main("thp", "--game", "SH", "--profile", "C:C", "--kappa", "1e308",
-                      "--out", str(tmp_path / "x.csv"))
-        assert rc == 2
-        assert "quadrature nodes" in capsys.readouterr().err
+    def test_sharp_kappa_without_a_grid(self, tmp_path):
+        # The largest finite kappa answers through the moments' large-kappa series.
+        out = tmp_path / "x.json"
+        rc = run_main("thp", "--game", "SH", "--profile", "C:C", "--kappa", "1.7e308",
+                      "--format", "json", "--out", str(out))
+        assert rc == 0
+        verdict = json.loads(out.read_text(), parse_constant=_reject_constant)["verdicts"][0]
+        assert verdict["holds"] is True and verdict["distance"] == 0.0
+
+    def test_wrapped_literal_keeps_its_gate(self, tmp_path):
+        # U(0.5, -1, 0) = -U(-0.5, 2*pi - 1, 0), so trembles around the two
+        # literals are one distribution of gates and give one surface.
+        outs = []
+        for literal in ("0.5,-1,0", f"-0.5,{2 * math.pi - 1!r},0"):
+            out = tmp_path / f"{len(outs)}.csv"
+            rc = run_main("surface", "--game", "SH", "--vary", "B", "--dims", "2",
+                          "--opponent", f"tremble:{literal},kappa=2", "--nodes", "9",
+                          "--out", str(out))
+            assert rc == 0
+            outs.append([float(x) for line in out.read_text().splitlines()[1:]
+                         for x in line.split(",")])
+        assert outs[0] == pytest.approx(outs[1], abs=1e-12)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 class TestClassicalValidation:
@@ -345,3 +387,136 @@ class TestGridValidation:
         assert rc == 2
         assert "tol" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_inf_tol(self, tmp_path, capsys):
+        # An infinite tol would end at once and write the invalid JSON token Infinity.
+        out = tmp_path / "x.json"
+        rc = run_main("threshold", "--game", "SH", "--profile", "C:C", "--lo", "1",
+                      "--hi", "5", "--tol", "inf", "--format", "json", "--out", str(out))
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# (valid, hostile) values of each option.
+_NON_FINITE = ["nan", "inf", "-inf", "abc"]
+_COUNT = ["-3", "0", "1", "7", "2000000", "100000000", "1e3"]
+_VALUES = {
+    "kappa": (["0.3", "1", "2.5", "40", "1e9", "1e308", "1.7e308"], _NON_FINITE + ["0", "-1"]),
+    "bracket": (["0.3", "1", "2.5", "5", "40"], _NON_FINITE + ["0", "-1", "-0", "1e308"]),
+    "tol": (["0.01", "0.3", "1e-300"], _NON_FINITE + ["0", "-1", "1e308"]),
+    "epsilon": (["0.01", "0.1", "0.49"], _NON_FINITE + ["0", "0.5", "-1", "1e308"]),
+    "search_nodes": (["8", "9", "16"], _COUNT),
+    "quad_nodes": (["8", "16", "64", "1048576"], _COUNT),
+    "plot_nodes": (["2", "5", "9"], ["-1", "0", "100000000", "x"]),
+    "classical_nodes": (["2", "9", "65"], ["-5", "0", "1", "1025", "abc"]),
+    "strategy": (["C", "D", "Q", "q", "2.5,0,0", "1e300,0,0", "0.5,-1,0", "7,-20,100",
+                  "-40,13,-7"], ["X", "nan,0,0", "0,inf,0", "1,2", "0,1e300,1e-300"]),
+}
+_GAME_DOCS = {
+    "list": [[1, 2], [3, 4]],
+    "missing": {"a": [[1, 0], [0, 1]]},
+    "words": {"a": [["x", 0], [0, 1]], "b": [[1, 0], [0, 1]]},
+    "shape": {"a": [[1, 0, 2], [0, 1, 2]], "b": [[1, 0], [0, 1]]},
+    "huge": {"name": "huge", "a": [[1e308, -1e308], [1e308, 1e308]],
+             "b": [[1e308, 0], [-1e308, 1e308]]},
+    "largest": {"name": "largest", "a": [[1e300, -1e300], [1e300, 1e300]],
+                "b": [[1e300, 0], [-1e300, 1e300]]},
+    "zero": {"name": "zero", "a": [[0, 0], [0, 0]], "b": [[0, 0], [0, 0]]},
+}
+
+
+@pytest.fixture(scope="module")
+def game_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("games")
+    texts = {name: json.dumps(doc) for name, doc in _GAME_DOCS.items()}
+    texts["broken"] = '{"name": "broken", "a": [[1, 0], [0, 1]], "b": '
+    texts["nan"] = '{"name": "nan", "a": [[NaN, 0], [0, 1]], "b": [[1, 0], [0, 1]]}'
+    for name, text in texts.items():
+        (folder / f"{name}.json").write_text(text)
+    return {name: str(folder / f"{name}.json") for name in [*texts, "missing-file"]}
+
+
+def _options(**values):
+    """``--name=value`` tokens, so that values such as -inf are not read as options."""
+    return [f"--{name.replace('_', '-')}={value}" for name, value in values.items()]
+
+
+@st.composite
+def _argv(draw, game_files):
+    # At most two option kinds take hostile values, so that many draws answer.
+    hostile = draw(st.sets(st.sampled_from([*_VALUES, "game"]), max_size=2))
+
+    def value(kind, least=1, most=1):
+        values = st.lists(st.sampled_from(_VALUES[kind][kind in hostile]),
+                          min_size=least, max_size=most, unique=True)
+        return sorted(draw(values), key=_as_float) if most > 1 else draw(values)[0]
+
+    valid_games = ["PD", "EG", "SH", "sh", game_files["largest"], game_files["zero"]]
+    bad_games = ["XX"] + [path for path in game_files.values() if path not in valid_games]
+    game = draw(st.sampled_from(bad_games if "game" in hostile else valid_games))
+    command = draw(st.sampled_from(["surface", "thp", "threshold", "classical"]))
+    argv = [command] + _options(game=game, format=draw(st.sampled_from(["csv", "json"])))
+    dims = st.sampled_from(["1", "2", "3"])
+    if command == "surface":
+        strategy, kappa = value("strategy"), value("kappa")
+        opponent = draw(st.sampled_from([
+            f"pure:{strategy}", f"tremble:{strategy},kappa={kappa}",
+            f"tremble:{strategy},kappa={kappa},dims=3", f"tremble:C,kappa={kappa},dims=x",
+            f"mix:Q=0.5,D=0.5", f"mix:C={value('epsilon')},D=0.5",
+        ]))
+        argv += _options(vary=draw(st.sampled_from(["A", "B"])), opponent=opponent,
+                         dims=draw(dims), nodes=value("plot_nodes"))
+        if draw(st.booleans()):
+            argv.append("--self-check")
+    elif command in ("thp", "threshold"):
+        argv += _options(profile=f"{value('strategy')}:{value('strategy')}",
+                         tremble_dims=draw(dims), response_dims=draw(dims))
+        if command == "thp":
+            argv += _options(kappa=",".join(value("kappa", 1, 3)))
+        else:
+            lo, hi = value("bracket", 2, 2)
+            argv += _options(lo=lo, hi=hi, tol=value("tol"))
+        if draw(st.booleans()):
+            argv += _options(search_nodes=value("search_nodes"))
+        if draw(st.booleans()):
+            argv.append("--both-sides")
+    else:
+        argv += _options(epsilon=value("epsilon"), nodes=value("classical_nodes"))
+    if command != "classical" and draw(st.booleans()):
+        argv += _options(quad_nodes=value("quad_nodes"))
+    return argv
+
+
+def _as_float(token):
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan
+
+
+def _assert_finite_output(text, fmt):
+    if fmt == "json":
+        json.loads(text, parse_constant=_reject_constant)
+        return
+    for line in text.splitlines()[1:]:
+        for cell in line.split(","):
+            assert cell in ("true", "false") or math.isfinite(float(cell)), line
+
+
+class TestHostileArgv:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_exit_is_clean(self, game_files, data):
+        argv = data.draw(_argv(game_files), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse refuses malformed options this way
+                rc = exc.code
+        assert rc in (0, 2, 3, 4), err.getvalue()
+        if rc == 0:
+            _assert_finite_output(out.getvalue(), argv[2].split("=", 1)[1])
+        else:
+            assert err.getvalue()

@@ -11,15 +11,12 @@ from qtremble import (
     StrategyParams,
     TrembleSpec,
     bessel_i,
-    sample_torus,
     sample_torus_angles,
     sample_vm,
     strategy,
-    torus_vm_density,
     vm_density,
-    vm_normalization,
-    vmf_density,
 )
+from qtremble.distributions import torus_density_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,10 +75,12 @@ class TestBesselI:
 
 class TestVmNormalization:
     def test_uniform_limit(self):
-        assert vm_normalization(0.0) == pytest.approx(1.0 / TWO_PI, rel=1e-15)
+        assert vm_density(1.3, 0.4, 0.0) == pytest.approx(1.0 / TWO_PI, rel=1e-15)
 
     def test_kappa_one(self):
-        assert vm_normalization(1.0) == pytest.approx(1.0 / (TWO_PI * 1.2660658777520084), rel=1e-12)
+        # At the mode the density is its normalization 1 / (2*pi*I_0(1)) times e^1.
+        want = math.e / (TWO_PI * 1.2660658777520084)
+        assert vm_density(0.7, 0.7, 1.0) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 5.0, 25.0])
     def test_density_integrates_to_one(self, kappa):
@@ -105,21 +104,25 @@ class TestTrembleSpec:
         assert spec.dims == 2
 
 
+def density_at(point: StrategyParams, spec: TrembleSpec) -> float:
+    return float(torus_density_angles(np.array(point.active), spec))
+
+
 class TestTorusDensity:
     def test_uniform_limit_d1(self):
         spec = TrembleSpec(strategy("C", 1), 0.0)
-        assert torus_vm_density(StrategyParams(1.2, dims=1), spec) == pytest.approx(1.0 / TWO_PI)
+        assert density_at(StrategyParams(1.2, dims=1), spec) == pytest.approx(1.0 / TWO_PI)
 
     def test_mode_value_d3(self):
         kappa = 5.0
         spec = TrembleSpec(strategy("Q", 3), kappa)
-        want = vm_normalization(kappa) ** 3 * math.exp(3 * kappa)
-        assert torus_vm_density(strategy("Q", 3), spec) == pytest.approx(want, rel=1e-12)
+        want = (math.exp(kappa) / (TWO_PI * bessel_i(0, kappa))) ** 3
+        assert density_at(strategy("Q", 3), spec) == pytest.approx(want, rel=1e-12)
 
     def test_dims_mismatch_raises(self):
         spec = TrembleSpec(strategy("C", 2), 1.0)
         with pytest.raises(ValueError):
-            torus_vm_density(StrategyParams(0.1, dims=1), spec)
+            density_at(StrategyParams(0.1, dims=1), spec)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 5.0, 25.0])
     @pytest.mark.parametrize("dims", [1, 2, 3])
@@ -130,8 +133,6 @@ class TestTorusDensity:
         axis = TWO_PI / n * np.arange(n)
         mesh = np.meshgrid(*([axis] * dims), indexing="ij")
         angles = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        from qtremble.distributions import torus_density_angles
-
         total = torus_density_angles(angles, spec).sum() * (TWO_PI / n) ** dims
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -142,7 +143,7 @@ class TestTorusDensity:
         best, arg = -1.0, None
         for t in axis:
             for a in axis:
-                val = torus_vm_density(StrategyParams(t, a % TWO_PI, 0.0, 2), spec)
+                val = density_at(StrategyParams(t, a % TWO_PI, 0.0, 2), spec)
                 if val > best:
                     best, arg = val, (t, a % TWO_PI)
         cell = TWO_PI / (n - 1)
@@ -153,16 +154,16 @@ class TestTorusDensity:
         # center 0 keeps the angle arithmetic exact, so evenness holds bitwise
         spec = TrembleSpec(strategy("C", 1), 2.5)
         for delta in (0.3, 1.1, 2.9):
-            plus = torus_vm_density(StrategyParams(delta, dims=1), spec)
-            minus = torus_vm_density(StrategyParams(-delta, dims=1), spec)
+            plus = density_at(StrategyParams(delta, dims=1), spec)
+            minus = density_at(StrategyParams(-delta, dims=1), spec)
             assert plus == minus
 
     @given(st.floats(0.01, 3.0), st.floats(-2.0, 2.0))
     @settings(deadline=None, max_examples=60)
     def test_symmetry_about_generic_center(self, delta, center):
         spec = TrembleSpec(StrategyParams(center, dims=1), 4.0)
-        plus = torus_vm_density(StrategyParams(center + delta, dims=1), spec)
-        minus = torus_vm_density(StrategyParams(center - delta, dims=1), spec)
+        plus = density_at(StrategyParams(center + delta, dims=1), spec)
+        minus = density_at(StrategyParams(center - delta, dims=1), spec)
         assert plus == pytest.approx(minus, rel=1e-12)
 
     def test_concentration_mass_near_center(self):
@@ -173,45 +174,6 @@ class TestTorusDensity:
         dens = vm_density(theta, 0.0, kappa)
         inside = np.trapezoid(dens, theta)
         assert inside >= 1.0 - 1e-6
-
-
-class TestVmfDensity:
-    def test_circle_case_matches_vm(self):
-        kappa = 2.3
-        ang, ang0 = 0.8, 0.1
-        x = np.array([math.cos(ang), math.sin(ang)])
-        x0 = np.array([math.cos(ang0), math.sin(ang0)])
-        assert vmf_density(x, x0, kappa, 2) == pytest.approx(
-            float(vm_density(ang, ang0, kappa)), rel=1e-12
-        )
-
-    def test_sphere_uniform_limit(self):
-        north = np.array([0.0, 0.0, 1.0])
-        assert vmf_density(north, north, 0.0, 3) == pytest.approx(1.0 / (4 * math.pi), rel=1e-12)
-        # small kappa approaches the same value from the exact formula
-        assert vmf_density(north, north, 1e-6, 3) == pytest.approx(1.0 / (4 * math.pi), rel=1e-5)
-
-    @pytest.mark.parametrize("kappa", [0.5, 1.0, 5.0])
-    def test_sphere_surface_integral_is_one(self, kappa):
-        # Gauss-Legendre oracle over colatitude with the 2*pi*sin surface weight
-        north = np.array([0.0, 0.0, 1.0])
-        nodes, weights = np.polynomial.legendre.leggauss(400)
-        psi = 0.5 * math.pi * (nodes + 1.0)
-        vals = np.array([
-            vmf_density(np.array([math.sin(p), 0.0, math.cos(p)]), north, kappa, 3)
-            for p in psi
-        ])
-        total = 0.5 * math.pi * float(weights @ (vals * TWO_PI * np.sin(psi)))
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_validation(self):
-        north = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            vmf_density(2 * north, north, 1.0, 3)
-        with pytest.raises(ValueError):
-            vmf_density(north, north, 1.0, 2)
-        with pytest.raises(ValueError):
-            vmf_density(north[:2], north[:2], 1.0, 1)
 
 
 def circular_mean(samples: np.ndarray) -> float:
@@ -263,9 +225,8 @@ class TestSampleTorus:
     def test_inactive_coordinates_stay_zero(self):
         rng = np.random.default_rng(4)
         spec = TrembleSpec(strategy("D", 1), 3.0)
-        for _ in range(10):
-            draw = sample_torus(rng, spec)
-            assert draw.alpha == 0.0 and draw.beta == 0.0 and draw.dims == 1
+        angles = sample_torus_angles(rng, spec, 10)
+        assert (angles[:, 1:] == 0.0).all()
 
     def test_high_concentration_clusters_every_coordinate(self):
         spec = TrembleSpec(StrategyParams(0.3, 1.0, 2.0, 3), 25.0)
@@ -293,8 +254,6 @@ class TestSampleTorus:
         fine = 256
         ft = -math.pi + TWO_PI / fine * (np.arange(fine) + 0.5)
         fa = TWO_PI / fine * (np.arange(fine) + 0.5)
-        from qtremble.distributions import torus_density_angles
-
         grid = np.stack(np.meshgrid(ft, fa, indexing="ij"), axis=-1).reshape(-1, 2)
         dens = torus_density_angles(grid, spec).reshape(fine, fine) * (TWO_PI / fine) ** 2
         sub = fine // bins

@@ -75,7 +75,9 @@ class TestGameSpec:
         "PD",
         {"name": "x", "a": {"C": 1}, "b": [[1, 2], [3, 4]]},
         {"name": "x", "a": [[1, 2], [3, 4]], "b": [[None, 2], [3, 4]]},
-    ], ids=["list", "string", "object-payoffs", "null-payoff"])
+        # Sums of payoffs this large overflow to inf and nan in the answers.
+        {"name": "x", "a": [[1e301, 2], [3, 4]], "b": [[1, 2], [3, -1e308]]},
+    ], ids=["list", "string", "object-payoffs", "null-payoff", "huge-payoff"])
     def test_malformed_documents_are_value_errors(self, doc):
         with pytest.raises(ValueError):
             game_from_dict(doc)

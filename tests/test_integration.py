@@ -26,10 +26,13 @@ from qtremble import (
     strategy,
     su2,
     su2_angles,
+    thp_scan,
 )
-from qtremble.distributions import bessel_i_scaled
+from qtremble.distributions import _MOMENT_SERIES_KAPPA, bessel_i_scaled, vm_moments
 from qtremble.integration import MAX_NODES_PER_AXIS, side_moment, tremble_nodes
 from qtremble.quantum import quaternions
+
+TWO_PI = 2.0 * math.pi
 
 PD = builtin_game("PD")
 EG = builtin_game("EG")
@@ -79,15 +82,38 @@ class TestQuadratureGrid:
             QuadratureGrid(16, 4)
 
     def test_nodes_and_weights(self):
+        # Midpoint nodes on the window centred on the tremble centre, every axis.
         grid = QuadratureGrid(16, 2)
-        assert grid.weight == pytest.approx((2 * math.pi / 16) ** 2)
-        angles = grid.node_angles()
-        assert angles.shape == (256, 3)
+        offsets, weights = grid.mesh()
+        assert offsets.shape == (256, 2)
+        assert weights == pytest.approx(np.full(256, (2 * math.pi / 16) ** 2))
+        step = 2 * math.pi / 16
+        for axis in range(2):
+            assert grid.axis(axis)[0] == pytest.approx(-math.pi + step * (np.arange(16) + 0.5))
+        spec = TrembleSpec(StrategyParams(0.7, 6.0, 0.0, 2), 1.0)
+        angles, _ = tremble_nodes(spec, grid)
         assert (angles[:, 2] == 0).all()
-        assert angles[:, 0].min() == pytest.approx(-math.pi)
-        # theta = 0 and alpha = pi both land exactly on nodes
-        assert 0.0 in angles[:, 0]
-        assert math.pi in angles[:, 1]
+        for axis, centre in enumerate((0.7, 6.0)):
+            assert np.abs(angles[:, axis] - centre).max() < math.pi
+            assert angles[:, axis].mean() == pytest.approx(centre, abs=1e-12)
+
+    def test_default_grid_is_legendre_on_alpha_beta(self):
+        grid = default_grid(2, 1.0)
+        x, w = np.polynomial.legendre.leggauss(64)
+        assert grid.axis(0)[0] == pytest.approx(QuadratureGrid(64, 2).axis(0)[0])
+        assert grid.axis(1)[0] == pytest.approx(math.pi * x)
+        assert grid.axis(1)[1] == pytest.approx(math.pi * w)
+        # Past _LEGENDRE_KAPPA the window edge carries no mass and midpoint nodes serve.
+        assert not default_grid(2, 1e4).legendre
+        with pytest.raises(ValueError, match="at most 1024"):
+            QuadratureGrid(4096, 1, legendre=True)
+
+    @pytest.mark.parametrize("nodes,kappa,dims", [(8, 1e4, 1), (9, 1e300, 3), (8, 1.7e308, 2)])
+    def test_grid_far_too_coarse_is_refused(self, nodes, kappa, dims):
+        # Every node weight underflows, the node at the mode overflows the
+        # product over three axes, or the normalization itself underflows.
+        with pytest.raises(ValueError, match="cannot integrate"):
+            side_moment(trembled("C", kappa, dims), grid=nodes)
 
     def test_default_grid_scales_with_concentration(self):
         assert default_grid(2, 0.0).nodes_per_dim == 64
@@ -146,6 +172,117 @@ class TestSideMoment:
         r = bessel_i_scaled(1, kappa) / bessel_i_scaled(0, kappa)
         assert moment[0, 0] + moment[1, 1] == pytest.approx((1 + r) / 2, abs=1e-10)
         assert elapsed < 0.5
+
+
+def centred_reference(kappa):
+    """(E[cos phi], E[cos(phi/2)]) for phi ~ vM(0, kappa) on (-pi, pi], by quadrature.
+
+    Both integrands are even, so only [0, pi] is summed: 40 Gauss-Legendre
+    nodes on each of 60 panels that halve toward the mode, which resolves the
+    peak at any kappa up to about 1e30.  The density is exp(-2 kappa sin^2(phi/2)).
+    """
+    x, w = np.polynomial.legendre.leggauss(40)
+    edges = math.pi * np.concatenate([[0.0], 2.0 ** -np.arange(60.0, -1.0, -1.0)])
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    phi = (lo + width * (x + 1.0) / 2.0).ravel()
+    weights = (width * w / 2.0).ravel() * np.exp(-2.0 * kappa * np.sin(phi / 2.0) ** 2)
+    return (float(weights @ np.cos(phi) / weights.sum()),
+            float(weights @ np.cos(phi / 2.0) / weights.sum()))
+
+
+# Off-axis centres, several with alpha or beta a hair from -pi, pi or 2*pi.
+_EDGE = st.sampled_from([-math.pi, math.pi, TWO_PI, -TWO_PI]).flatmap(
+    lambda edge: st.floats(edge - 1e-6, edge + 1e-6))
+_CENTRE_ANGLE = st.one_of(st.floats(-10.0, 10.0), _EDGE)
+
+# Fixed Monte Carlo cases: (game, centre, dims, kappa, opponent, seed).
+_MC_CASES = [
+    (SH, (1.5, 0.0, 0.0), 2, 5.0, (0.4, 1.0, 0.0), 1),
+    (SH, (0.7, 0.3, 0.0), 2, 1.0, (0.4, 1.0, 0.0), 2),
+    (PD, (0.4, math.pi - 1e-7, 0.0), 2, 0.5, (2.0, 0.3, 0.0), 3),
+    (EG, (-2.0, -3.1, 6.2), 3, 2.0, (0.4, 1.0, 2.0), 4),
+    (SH, (2.5, TWO_PI - 1e-7, -math.pi + 1e-7), 3, 1e-3, (1.0, 4.0, 0.5), 5),
+    (PD, (3.0, 6.2, 3.2), 3, 40.0, (0.2, 2.0, 3.0), 6),
+    (EG, (1.1, -math.pi, 0.0), 2, 1e4, (0.6, 2.5, 0.0), 7),
+]
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("kappa", [1e-3, 0.01, 0.3, 1.0, 2.5, 7.0, 14.99, 15.0, 15.01,
+                                       40.0, 300.0, 3e3, 1e4, 1e5])
+    def test_moments_match_centred_quadrature(self, kappa):
+        assert vm_moments(kappa) == pytest.approx(centred_reference(kappa), abs=1e-11)
+
+    def test_moment_limits(self):
+        assert vm_moments(0.0) == (0.0, 2.0 / math.pi)
+        assert vm_moments(1e-300) == pytest.approx((0.0, 2.0 / math.pi), abs=1e-15)
+        for kappa in (1e9, 1e15, 1e300, 1.7e308, np.finfo(float).max):
+            m1, m_h = vm_moments(kappa)
+            assert math.isfinite(m1) and math.isfinite(m_h)
+            assert 1.0 - 0.5 / kappa == m1 and 1.0 - 0.125 / kappa == m_h
+
+    def test_moments_continuous_across_series_cutoff(self):
+        below = vm_moments(math.nextafter(_MOMENT_SERIES_KAPPA, 0.0))
+        above = vm_moments(math.nextafter(_MOMENT_SERIES_KAPPA, math.inf))
+        assert below == pytest.approx(above, abs=1e-15)
+
+    @given(
+        dims=st.integers(1, 3),
+        centre=st.tuples(st.floats(-10.0, 10.0), _CENTRE_ANGLE, _CENTRE_ANGLE),
+        log_kappa=st.floats(-3.0, 4.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_default(self, dims, centre, log_kappa):
+        # The oracle's converged quadrature, summed per axis for speed.
+        angles = [c if axis < dims else 0.0 for axis, c in enumerate(centre)]
+        spec = TrembleSpec(StrategyParams(*angles, dims), 10.0**log_kappa)
+        dist = StrategyDistribution.from_tremble(spec)
+        grid = default_grid(dims, spec.kappa)
+        assert np.abs(side_moment(dist) - side_moment(dist, grid)).max() <= 1e-10
+
+    @pytest.mark.parametrize("game,centre,dims,kappa,other,seed", _MC_CASES)
+    def test_matches_direct_sum_and_monte_carlo(self, game, centre, dims, kappa, other, seed):
+        shaky = StrategyDistribution.from_tremble(
+            TrembleSpec(StrategyParams(*centre[:dims], *[0.0] * (3 - dims), dims), kappa))
+        fixed = StrategyDistribution.from_pure(StrategyParams(*other))
+        closed = smeared_payoff(game, shaky, fixed)
+        if kappa <= 100.0:
+            assert closed == pytest.approx(smeared_payoff_direct(game, shaky, fixed), abs=1e-10)
+        pay_a, pay_b, se_a, se_b = smeared_payoff_mc(game, shaky, fixed, 40_000, seed=seed)
+        assert abs(closed[0] - pay_a) <= 4 * max(se_a, 1e-12)
+        assert abs(closed[1] - pay_b) <= 4 * max(se_b, 1e-12)
+
+    def test_both_sides_trembled_off_axis_against_monte_carlo(self):
+        side_a = StrategyDistribution.from_tremble(
+            TrembleSpec(StrategyParams(1.5, 0.0, 0.0, 2), 5.0))
+        side_b = StrategyDistribution.from_tremble(
+            TrembleSpec(StrategyParams(0.4, 3.0, 6.0, 3), 2.0))
+        closed = smeared_payoff(SH, side_a, side_b)
+        pay_a, pay_b, se_a, se_b = smeared_payoff_mc(SH, side_a, side_b, 40_000, seed=8)
+        assert abs(closed[0] - pay_a) <= 4 * se_a
+        assert abs(closed[1] - pay_b) <= 4 * se_b
+
+    def test_off_axis_regression_case(self):
+        # Quadrature on [0, 2*pi) gave (7.6420, 6.0138); centred Monte Carlo with
+        # 4e5 draws gives 8.1866 +- 0.0010 and 5.7436 +- 0.0024.
+        alice = StrategyDistribution.from_tremble(
+            TrembleSpec(StrategyParams(1.5, 0.0, 0.0, 2), 5.0))
+        bob = StrategyDistribution.from_pure(StrategyParams(0.4, 1.0, 0.0, 2))
+        assert smeared_payoff(SH, alice, bob) == pytest.approx((8.18636, 5.74470), abs=1e-5)
+
+    def test_verdict_cost_is_flat_in_kappa(self):
+        profile = (strategy("C", 3), strategy("C", 3))
+
+        def best_time(kappa):
+            times = []
+            for _ in range(7):
+                start = time.perf_counter()
+                thp_scan(SH, profile, 3, [kappa], response_dims=3)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        best_time(1.0)  # warm-up
+        assert best_time(1e9) <= 1.5 * best_time(1.0)
 
 
 class TestStrategyDistribution:
